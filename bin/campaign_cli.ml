@@ -998,14 +998,11 @@ let coordinate_cmd =
               let now = Mclock.now_ns () in
               if force || Int64.sub now !last_status >= 500_000_000L then begin
                 last_status := now;
-                (* tmp + rename: a reader never sees a torn snapshot *)
-                let tmp = path ^ ".tmp" in
+                (* replaced whole: a reader never sees a torn snapshot *)
                 try
-                  let oc = open_out tmp in
-                  output_string oc (fleet_line ());
-                  output_char oc '\n';
-                  close_out oc;
-                  Sys.rename tmp path
+                  let w = Recordlog.replace ~path in
+                  Recordlog.output w (fleet_line () ^ "\n");
+                  Recordlog.close w
                 with Sys_error _ -> ()
               end
         in

@@ -184,8 +184,8 @@ let fields_of = function
   | Campaign_end { cells } ->
       [ ("e", Jsonl.Str "campaign_end"); ("cells", Jsonl.Int cells) ]
 
-let encode e =
-  Jsonl.encode_line (("v", Jsonl.Int schema_version) :: fields_of e)
+let record e = ("v", Jsonl.Int schema_version) :: fields_of e
+let encode e = Jsonl.encode_line (record e)
 
 (* ------------------------------------------------------------------ *)
 (* Decoding                                                            *)
@@ -347,12 +347,12 @@ let decode line =
   | Ok fields -> event_of_fields fields
 
 (* ------------------------------------------------------------------ *)
-(* Writer                                                              *)
+(* Writer and reader (framing and crash policy: Recordlog)             *)
 (* ------------------------------------------------------------------ *)
 
-type writer = { oc : out_channel; wm : Mutex.t }
+type writer = { log : Recordlog.writer; wm : Mutex.t }
 
-let create ~path = { oc = open_out_bin path; wm = Mutex.create () }
+let create ~path = { log = Recordlog.create ~path; wm = Mutex.create () }
 
 let emit w e =
   (* the mutex admits the one legitimate cross-domain producer — the
@@ -361,41 +361,13 @@ let emit w e =
   Mutex.lock w.wm;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock w.wm)
-    (fun () ->
-      output_string w.oc (encode e);
-      output_char w.oc '\n';
-      flush w.oc)
+    (fun () -> Recordlog.write w.log (record e))
 
-let close w = close_out w.oc
-
-(* ------------------------------------------------------------------ *)
-(* Reader                                                              *)
-(* ------------------------------------------------------------------ *)
+let close w = Recordlog.close w.log
 
 let load ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error m -> Error m
-  | contents ->
-      let lines =
-        match List.rev (String.split_on_char '\n' contents) with
-        | "" :: rev -> List.rev rev
-        | rev -> List.rev rev
-      in
-      let n = List.length lines in
-      let rec go i acc = function
-        | [] -> Ok (List.rev acc, false)
-        | line :: rest -> (
-            match decode line with
-            | Ok e -> go (i + 1) (e :: acc) rest
-            | Error e ->
-                (* same torn-tail policy as the journal: damage is only
-                   tolerated at the very end of the file *)
-                if i = n - 1 then Ok (List.rev acc, true)
-                else Error (Printf.sprintf "event %d: %s" (i + 1) e))
-      in
-      go 0 [] lines
+  let f acc fields = Result.map (fun e -> e :: acc) (event_of_fields fields) in
+  match Recordlog.fold ~path ~init:[] ~f with
+  | Ok (events, torn) -> Ok (List.rev events, torn)
+  | Error (Recordlog.Io m) -> Error m
+  | Error (Recordlog.Bad (n, m)) -> Error (Printf.sprintf "event %d: %s" n m)

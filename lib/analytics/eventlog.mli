@@ -3,9 +3,9 @@
     The journal records {e results}; the eventlog records the {e story}:
     campaign lifecycle, per-cell completions, fuzzing generations,
     coverage deltas, triage hits, pool health and watchdog escalations,
-    one checksummed JSON object per line ([{"v":1,"e":"<kind>",...,
-    "h":"<md5>"}]) written next to the journal. Any text tool can tail
-    it; {!load} replays it for the offline report generator.
+    one record per event ([{"v":2,"e":"<kind>",...,"h":"<md5>"}]) in a
+    {!Recordlog} file next to the journal. Any text tool can tail it;
+    {!load} replays it for the offline report generator.
 
     {b Determinism.} Every lifecycle event ({!is_deterministic}) is
     emitted from the ordered merged result stream — the same path that
@@ -114,7 +114,7 @@ val create : path:string -> writer
 (** Truncate [path] and open it for appending events. *)
 
 val emit : writer -> event -> unit
-(** Append one event and flush — crash-safe like the journal. Safe to
+(** Write one event ({!Recordlog.write}: the commit point). Safe to
     call from the watchdog domain concurrently with the submitting
     domain (serialised by a mutex); the deterministic stream itself is
     produced by the submitting domain only, in order. *)
@@ -122,6 +122,5 @@ val emit : writer -> event -> unit
 val close : writer -> unit
 
 val load : path:string -> (event list * bool, string) result
-(** All valid events in file order; the flag reports a discarded torn
-    final line. Fails on damage before the tail or a schema-version
-    mismatch. *)
+(** All committed events in file order; the flag reports a dropped torn
+    tail. Fails on damage or a schema-version mismatch. *)

@@ -124,63 +124,28 @@ let cell_of_fields fields =
   | _ -> None
 
 let write ~path cells =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     output_string oc (Jsonl.encode_line header_fields);
-     output_char oc '\n';
-     List.iter
-       (fun c ->
-         output_string oc (Jsonl.encode_line (cell_fields c));
-         output_char oc '\n')
-       cells;
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
-
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
+  let w = Recordlog.replace ~path in
+  Recordlog.write w header_fields;
+  List.iter (fun c -> Recordlog.write w (cell_fields c)) cells;
+  Recordlog.close w
 
 let load ~path =
-  match read_lines path with
-  | exception Sys_error m -> Error m
-  | [] -> Error "empty profile file"
-  | header :: rest -> (
-      match Jsonl.decode_line header with
-      | Error m -> Error ("profile header: " ^ m)
-      | Ok fields -> (
-          match Jsonl.member "v" (Jsonl.Obj fields) with
-          | Some (Jsonl.Int v) when v = version ->
-              let n = List.length rest in
-              let rec go i acc = function
-                | [] -> Ok (List.rev acc, false)
-                | line :: tl -> (
-                    let bad msg =
-                      (* only the final line may be torn — anything
-                         before it is corruption, not a crash artifact *)
-                      if i = n - 1 then Ok (List.rev acc, true)
-                      else Error (Printf.sprintf "line %d: %s" (i + 2) msg)
-                    in
-                    match Jsonl.decode_line line with
-                    | Error m -> bad m
-                    | Ok fields -> (
-                        match cell_of_fields fields with
-                        | Some c -> go (i + 1) (c :: acc) tl
-                        | None -> bad "malformed profile cell"))
-              in
-              go 0 [] rest
-          | _ -> Error "profile header: wrong version"))
+  (* the header opens the cell list, newest first *)
+  let f acc fields =
+    match (acc, Jsonl.member "v" (Jsonl.Obj fields)) with
+    | None, Some (Jsonl.Int v) when v = version -> Ok (Some [])
+    | None, _ -> Error "wrong version"
+    | Some cells, _ -> (
+        match cell_of_fields fields with
+        | Some c -> Ok (Some (c :: cells))
+        | None -> Error "malformed profile cell")
+  in
+  match Recordlog.fold ~path ~init:None ~f with
+  | Ok (None, _) -> Error "empty profile file"
+  | Ok (Some cells, torn) -> Ok (List.rev cells, torn)
+  | Error (Recordlog.Io m) -> Error m
+  | Error (Recordlog.Bad (1, m)) -> Error ("profile header: " ^ m)
+  | Error (Recordlog.Bad (n, m)) -> Error (Printf.sprintf "line %d: %s" n m)
 
 (* ------------------------------------------------------------------ *)
 (* Collapsed stacks and the text report                                *)
@@ -200,17 +165,11 @@ let folded cells =
   List.sort compare (Hashtbl.fold (fun p n acc -> (p, n) :: acc) tbl [])
 
 let write_folded ~path cells =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out tmp in
-  (try
-     List.iter
-       (fun (p, n) -> Printf.fprintf oc "%s %d\n" p n)
-       (folded cells);
-     close_out oc
-   with e ->
-     close_out_noerr oc;
-     raise e);
-  Sys.rename tmp path
+  let w = Recordlog.replace ~path in
+  List.iter
+    (fun (p, n) -> Recordlog.output w (Printf.sprintf "%s %d\n" p n))
+    (folded cells);
+  Recordlog.close w
 
 let report cells =
   let b = Buffer.create 2048 in

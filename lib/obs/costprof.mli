@@ -10,9 +10,8 @@
 
     Collection is off by default and costs the driver one atomic load
     per cell; everything downstream is gated on the [prof] payload
-    being non-empty. The profile file is journal-grade: checksummed
-    JSONL with a header line, canonical field order, cells and
-    constructs in sorted order, and torn-tail-only recovery on load. *)
+    being non-empty. The profile file is a {!Recordlog} file: a header
+    record, then cells and constructs in sorted order. *)
 
 type construct = {
   kind : string;  (** AST constructor family, e.g. "for", "binop", "index" *)
@@ -47,16 +46,17 @@ val reset : unit -> unit
 (** Drop all accumulated cells. *)
 
 val write : path:string -> cell list -> unit
-(** Checksummed JSONL: a header line, then one line per cell, written
-    to a temp file and renamed into place. Raises [Sys_error]. *)
+(** A header record, then one record per cell, replacing [path] whole
+    ({!Recordlog.replace}). Raises [Sys_error]. *)
 
 val load : path:string -> (cell list * bool, string) result
-(** Parse a profile file. The flag is [true] when a torn final line was
-    discarded; corruption anywhere else is an error. *)
+(** The committed cells of a profile file; the flag reports a dropped
+    torn tail. *)
 
 val write_folded : path:string -> cell list -> unit
 (** Collapsed-stack aggregate ("path count" per line, sorted), loadable
-    by flamegraph.pl and speedscope. Raises [Sys_error]. *)
+    by flamegraph.pl and speedscope, replacing [path] whole. Raises
+    [Sys_error]. *)
 
 val report : cell list -> string
 (** Text report ranking constructs by share of total ticks. *)

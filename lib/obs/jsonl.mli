@@ -1,8 +1,7 @@
 (** Minimal JSON codec for the persistence layer's line-oriented files.
 
-    The journal and corpus index are JSONL: one self-describing JSON
-    object per line, so a crashed campaign leaves at worst one partial
-    final line and any text tool can inspect a run. The codec supports
+    Every record file is JSONL: one self-describing JSON object per
+    line, so any text tool can inspect a run. The codec supports
     exactly the subset the store emits — null, booleans, OCaml ints,
     strings, arrays, objects — and round-trips arbitrary OCaml strings
     (bytes outside printable ASCII are escaped as [\u00XX]). Encoding is
@@ -11,8 +10,8 @@
 
     {!encode_line}/{!decode_line} add and verify a trailing ["h"] field:
     an MD5 hex digest of the canonical encoding of the object without it.
-    A record whose checksum does not match is indistinguishable from a
-    torn write and is treated as corruption by the journal reader. *)
+    Whether a line failing its checksum is a torn tail or damage is
+    {!Recordlog}'s policy. *)
 
 type t =
   | Null

@@ -1,6 +1,5 @@
-type t = {
-  path : string;
-  mutable oc : out_channel;
+(* the in-memory projection of the journal, rebuilt by replay *)
+type state = {
   kernels : (string, Corpus.entry * string) Hashtbl.t;
   mutable order : string array;  (** submission order of kernel hashes *)
   mutable count : int;
@@ -10,6 +9,8 @@ type t = {
   cov : Covmap.t;
   mutable cursor : int;  (** next kernel index to hand out as work *)
 }
+
+type t = { log : Recordlog.writer; s : state }
 
 let journal_version = 1
 let header_fields = [ ("k", Jsonl.Str "serve"); ("v", Jsonl.Int journal_version) ]
@@ -95,113 +96,40 @@ let apply fields t =
   | None -> Error "record without kind"
 
 (* ------------------------------------------------------------------ *)
-(* Open / replay                                                       *)
+(* Open / replay (framing and crash policy: Recordlog)                 *)
 (* ------------------------------------------------------------------ *)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let append_line oc fields =
-  output_string oc (Jsonl.encode_line fields);
-  output_char oc '\n';
-  flush oc
-
-let fresh path =
-  let oc = open_out_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 path in
-  append_line oc header_fields;
-  oc
-
-let empty path oc =
-  {
-    path;
-    oc;
-    kernels = Hashtbl.create 64;
-    order = Array.make 16 "";
-    count = 0;
-    cell_keys = Hashtbl.create 64;
-    cells_rev = [];
-    obs_rev = [];
-    cov = Covmap.create ();
-    cursor = 0;
-  }
-
 let open_ ~path =
-  if not (Sys.file_exists path) then
-    match fresh path with
-    | oc -> Ok (empty path oc)
-    | exception Sys_error m -> Error m
-  else
-    match read_file path with
-    | exception Sys_error m -> Error m
-    | contents -> (
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' contents)
-        in
-        match lines with
-        | [] -> (
-            match fresh path with
-            | oc -> Ok (empty path oc)
-            | exception Sys_error m -> Error m)
-        | first :: rest -> (
-            match Jsonl.decode_line first with
-            | Error e -> Error (Printf.sprintf "serve journal header: %s" e)
-            | Ok fields when fields <> header_fields ->
-                Error "serve journal header: wrong kind or version"
-            | Ok _ -> (
-                let t = empty path stdout in
-                let n = List.length rest in
-                (* like Journal.load: damage is tolerated only as one
-                   torn final line; anything earlier is corruption *)
-                let rec replay i clean = function
-                  | [] -> Ok (clean, false)
-                  | line :: more -> (
-                      let torn msg =
-                        if i = n - 1 then Ok (clean, true)
-                        else
-                          Error
-                            (Printf.sprintf "serve journal record %d: %s"
-                               (i + 1) msg)
-                      in
-                      match Jsonl.decode_line line with
-                      | Error e -> torn e
-                      | Ok fields -> (
-                          match apply fields t with
-                          | Error e -> torn e
-                          | Ok () -> replay (i + 1) (line :: clean) more))
-                in
-                match replay 0 [] rest with
-                | Error e -> Error e
-                | Ok (clean_rev, torn) -> (
-                    (* a torn tail is rewritten away before reopening
-                       for append, so the file is always a clean prefix *)
-                    (if torn then
-                       let tmp = path ^ ".tmp" in
-                       let oc =
-                         open_out_gen
-                           [ Open_wronly; Open_creat; Open_trunc ]
-                           0o644 tmp
-                       in
-                       output_string oc (Jsonl.encode_line header_fields);
-                       output_char oc '\n';
-                       List.iter
-                         (fun l ->
-                           output_string oc l;
-                           output_char oc '\n')
-                         (List.rev clean_rev);
-                       close_out oc;
-                       Sys.rename tmp path);
-                    match
-                      open_out_gen [ Open_wronly; Open_append ] 0o644 path
-                    with
-                    | oc ->
-                        t.oc <- oc;
-                        Ok t
-                    | exception Sys_error m -> Error m))))
+  let s =
+    {
+      kernels = Hashtbl.create 64;
+      order = Array.make 16 "";
+      count = 0;
+      cell_keys = Hashtbl.create 64;
+      cells_rev = [];
+      obs_rev = [];
+      cov = Covmap.create ();
+      cursor = 0;
+    }
+  in
+  (* the flag: the header has been read *)
+  let replay headed fields =
+    if headed then Result.map (fun () -> true) (apply fields s)
+    else if fields = header_fields then Ok true
+    else Error "wrong kind or version"
+  in
+  match Recordlog.append ~path ~init:false ~f:replay with
+  | Error (Recordlog.Io m) -> Error m
+  | Error (Recordlog.Bad (1, m)) -> Error ("serve journal header: " ^ m)
+  | Error (Recordlog.Bad (n, m)) ->
+      Error (Printf.sprintf "serve journal record %d: %s" (n - 1) m)
+  | Ok (headed, log) -> (
+      (* a missing, empty or torn-header journal starts afresh *)
+      match if not headed then Recordlog.write log header_fields with
+      | () -> Ok { log; s }
+      | exception Sys_error m -> Error m)
 
-let close t = close_out_noerr t.oc
+let close t = Recordlog.close t.log
 
 (* ------------------------------------------------------------------ *)
 (* Mutations: journal first, then apply — a record on disk is the      *)
@@ -211,52 +139,52 @@ let close t = close_out_noerr t.oc
 let submit_kernel t e text =
   if not (String.equal (Corpus.hash_text text) e.Corpus.hash) then
     Error "kernel text does not hash to its declared address"
-  else if Hashtbl.mem t.kernels e.Corpus.hash then Ok false
+  else if Hashtbl.mem t.s.kernels e.Corpus.hash then Ok false
   else begin
-    append_line t.oc (kernel_fields e text);
-    push_kernel t e text;
+    Recordlog.write t.log (kernel_fields e text);
+    push_kernel t.s e text;
     Ok true
   end
 
 let report_observation t ~cell ~obs ~cov =
   if List.exists (fun i -> i < 0 || i >= Covmap.size) cov then
     Error "coverage index out of range"
-  else if Hashtbl.mem t.cell_keys (Journal.key cell) then Ok (false, 0)
+  else if Hashtbl.mem t.s.cell_keys (Journal.key cell) then Ok (false, 0)
   else begin
-    append_line t.oc (obs_fields ~cell ~obs ~cov);
-    Ok (true, apply_obs t cell obs cov)
+    Recordlog.write t.log (obs_fields ~cell ~obs ~cov);
+    Ok (true, apply_obs t.s cell obs cov)
   end
 
-let claim t =
-  if t.cursor >= t.count then None
+let claim { log; s } =
+  if s.cursor >= s.count then None
   else begin
-    let hash = t.order.(t.cursor) in
-    append_line t.oc (claim_fields (t.cursor + 1));
-    t.cursor <- t.cursor + 1;
-    Hashtbl.find_opt t.kernels hash
+    let hash = s.order.(s.cursor) in
+    Recordlog.write log (claim_fields (s.cursor + 1));
+    s.cursor <- s.cursor + 1;
+    Hashtbl.find_opt s.kernels hash
   end
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let buckets t = Triage.of_observations (List.rev t.obs_rev)
-let coverage_count t = Covmap.count t.cov
-let coverage_hex t = Covmap.to_hex t.cov
+let buckets t = Triage.of_observations (List.rev t.s.obs_rev)
+let coverage_count t = Covmap.count t.s.cov
+let coverage_hex t = Covmap.to_hex t.s.cov
 
-let corpus t =
-  List.init t.count (fun i -> fst (Hashtbl.find t.kernels t.order.(i)))
+let corpus { s; _ } =
+  List.init s.count (fun i -> fst (Hashtbl.find s.kernels s.order.(i)))
 
-let kernel t hash = Option.map snd (Hashtbl.find_opt t.kernels hash)
-let cells t = List.rev t.cells_rev
-let kernel_count t = t.count
-let cell_count t = List.length t.cells_rev
-let cursor t = t.cursor
+let kernel t hash = Option.map snd (Hashtbl.find_opt t.s.kernels hash)
+let cells t = List.rev t.s.cells_rev
+let kernel_count t = t.s.count
+let cell_count t = List.length t.s.cells_rev
+let cursor t = t.s.cursor
 
 let header t =
   Journal.make_header ~campaign:"serve" ~ident:[]
     ~scale:
       [
-        ("kernels", string_of_int t.count);
+        ("kernels", string_of_int t.s.count);
         ("cells", string_of_int (cell_count t));
       ]

@@ -1,9 +1,8 @@
 (** The serve daemon's state: corpus, coverage, observations — all
     behind one append-only journal.
 
-    Every mutation writes one checksummed JSONL record (the {!Jsonl}
-    line discipline the campaign journal and corpus index use) and
-    flushes before touching memory, so the journal is the state: a
+    The journal is a {!Recordlog} file. Every mutation writes its
+    record before touching memory, so the journal is the state: a
     daemon killed with [-9] and reopened replays to a store whose
     query responses are byte-identical to the moment of death. Three
     record kinds follow the header line:
@@ -18,15 +17,14 @@
 
     Dedup is part of the contract: kernels dedup by content hash,
     observations by {!Journal.key}, making concurrent or retried
-    submissions idempotent. A torn final line (the kill landed
-    mid-append) is dropped and the clean prefix rewritten, exactly
-    like {!Journal.append}. *)
+    submissions idempotent. *)
 
 type t
 
 val open_ : path:string -> (t, string) result
-(** Create (fresh header) or replay an existing journal. Fails on
-    damage anywhere but the final line. *)
+(** Create (fresh header) or replay an existing journal, cutting a torn
+    tail off first ({!Recordlog.append}). A missing, empty or
+    torn-header journal starts afresh; other damage fails. *)
 
 val close : t -> unit
 

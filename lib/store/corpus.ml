@@ -40,72 +40,52 @@ let read_file path =
     (fun () -> really_input_string ic (in_channel_length ic))
 
 let write_file_atomic path contents =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc contents;
-  close_out oc;
-  Sys.rename tmp path
+  let w = Recordlog.replace ~path in
+  Recordlog.output w contents;
+  Recordlog.close w
+
+let decode_entry fields =
+  Option.to_result ~none:"malformed entry" (entry_of_fields fields)
+
+let index_error = function
+  | Recordlog.Io m -> m
+  | Recordlog.Bad (n, m) -> Printf.sprintf "corpus index entry %d: %s" n m
 
 let index ~dir =
   let path = index_path dir in
   if not (Sys.file_exists path) then Ok []
   else
-    match read_file path with
-    | exception Sys_error m -> Error m
-    | contents ->
-        let lines =
-          List.filter (fun l -> l <> "") (String.split_on_char '\n' contents)
-        in
-        let n = List.length lines in
-        let rec go i acc = function
-          | [] -> Ok (List.rev acc)
-          | line :: rest -> (
-              let bad msg =
-                (* like the journal: tolerate only a torn final line *)
-                if i = n - 1 then Ok (List.rev acc)
-                else Error (Printf.sprintf "corpus index entry %d: %s" (i + 1) msg)
-              in
-              match Jsonl.decode_line line with
-              | Error e -> bad e
-              | Ok fields -> (
-                  match entry_of_fields fields with
-                  | None -> bad "malformed entry"
-                  | Some e -> go (i + 1) (e :: acc) rest))
-        in
-        go 0 [] lines
+    let f acc fields = Result.map (fun e -> e :: acc) (decode_entry fields) in
+    match Recordlog.fold ~path ~init:[] ~f with
+    | Ok (entries, _torn) -> Ok (List.rev entries)
+    | Error e -> Error (index_error e)
 
 let add_all ~dir pairs =
+  let seen = Hashtbl.create 64 in
+  let note () fields =
+    Result.map (fun e -> Hashtbl.replace seen (dedup_key e) ()) (decode_entry fields)
+  in
   match
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    index ~dir
+    Recordlog.append ~path:(index_path dir) ~init:() ~f:note
   with
   | exception Sys_error m -> Error m
-  | Error m -> Error m
-  | Ok existing -> (
-      let seen = Hashtbl.create 64 in
-      List.iter (fun e -> Hashtbl.replace seen (dedup_key e) ()) existing;
+  | Error e -> Error (index_error e)
+  | Ok ((), w) -> (
+      let add added (e, text) =
+        let path = kernel_path ~dir ~hash:e.hash in
+        if not (Sys.file_exists path) then write_file_atomic path text;
+        if Hashtbl.mem seen (dedup_key e) then added
+        else begin
+          Hashtbl.replace seen (dedup_key e) ();
+          Recordlog.write w (entry_fields e);
+          added + 1
+        end
+      in
       match
-        let oc =
-          open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644
-            (index_path dir)
-        in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            let added = ref 0 in
-            List.iter
-              (fun (e, text) ->
-                let path = kernel_path ~dir ~hash:e.hash in
-                if not (Sys.file_exists path) then write_file_atomic path text;
-                if not (Hashtbl.mem seen (dedup_key e)) then begin
-                  Hashtbl.replace seen (dedup_key e) ();
-                  output_string oc (Jsonl.encode_line (entry_fields e));
-                  output_char oc '\n';
-                  incr added
-                end)
-              pairs;
-            flush oc;
-            !added)
+        let added = List.fold_left add 0 pairs in
+        Recordlog.close w;
+        added
       with
       | exception Sys_error m -> Error m
       | added -> Ok added)

@@ -4,7 +4,7 @@
     kept as OpenCL C text ([Pp.program_to_string]) under their content
     hash — [DIR/<md5hex>.cl] — so the same kernel surfacing in many
     campaigns, configurations or resumed runs is stored exactly once.
-    A checksummed JSONL index ([DIR/index.jsonl]) records one line per
+    A {!Recordlog} index ([DIR/index.jsonl]) records one entry per
     (kernel, classification, configuration, opt level): the provenance
     needed to regenerate the kernel deterministically from its seed and
     re-run it against the configuration that misbehaved. *)
@@ -32,13 +32,14 @@ val entry_of_fields : (string * Jsonl.t) list -> entry option
 val kernel_path : dir:string -> hash:string -> string
 
 val add_all : dir:string -> (entry * string) list -> (int, string) result
-(** Store each (entry, kernel text) pair: the kernel file is written if
-    absent (atomically, via a temp file), the index gains a line per new
-    (hash, cls, config, opt). Returns how many index entries were new. *)
+(** Store each (entry, kernel text) pair: the kernel file is written
+    whole if absent ({!Recordlog.replace}), and the index, its torn tail
+    cut off first ({!Recordlog.append}), gains an entry per new (hash,
+    cls, config, opt). Returns how many index entries were new. *)
 
 val index : dir:string -> (entry list, string) result
-(** All index entries, insertion order; a torn final line is dropped.
-    A missing corpus reads as empty. *)
+(** All committed index entries, insertion order. A missing corpus
+    reads as empty. *)
 
 val read_kernel : dir:string -> hash:string -> (string, string) result
 

@@ -129,74 +129,40 @@ let header_of_fields fields =
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Reading                                                             *)
+(* Reading and writing (framing and crash policy: Recordlog)           *)
 (* ------------------------------------------------------------------ *)
 
-let read_lines path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let contents = really_input_string ic len in
-      match String.split_on_char '\n' contents with
-      | [] -> []
-      | parts -> (
-          (* a trailing newline yields one final "" element; drop it *)
-          match List.rev parts with
-          | "" :: rev -> List.rev rev
-          | _ -> parts))
+(* the header, then the cells newest first *)
+let step acc fields =
+  match (acc, Jsonl.member "k" (Jsonl.Obj fields)) with
+  | None, Some (Jsonl.Str "header") -> (
+      match header_of_fields fields with
+      | Some h -> Ok (Some (h, []))
+      | None -> Error "malformed header")
+  | None, _ -> Error "first record is not a header"
+  | Some (h, cells), _ -> (
+      match cell_of_fields fields with
+      | Some c -> Ok (Some (h, c :: cells))
+      | None -> Error "malformed cell record")
+
+let log_error = function
+  | Recordlog.Io m -> Io m
+  | Recordlog.Bad (1, m) -> Corrupt ("header: " ^ m)
+  | Recordlog.Bad (n, m) -> Corrupt (Printf.sprintf "record %d: %s" (n - 1) m)
 
 let load ~path =
-  match read_lines path with
-  | exception Sys_error m -> Error (Io m)
-  | [] -> Error (Corrupt "empty file")
-  | header_line :: cell_lines -> (
-      match Jsonl.decode_line header_line with
-      | Error e -> Error (Corrupt ("header: " ^ e))
-      | Ok fields
-        when Jsonl.member "k" (Jsonl.Obj fields) <> Some (Jsonl.Str "header") ->
-          Error (Corrupt "first record is not a header")
-      | Ok fields -> (
-          match header_of_fields fields with
-          | None -> Error (Corrupt "malformed header")
-          | Some header ->
-              let n = List.length cell_lines in
-              let rec go i acc = function
-                | [] -> Ok (header, List.rev acc, false)
-                | line :: rest -> (
-                    let bad msg =
-                      (* damage is tolerated only at the very tail: a torn
-                         final line is the expected crash artefact, damage
-                         before it means the file cannot be trusted *)
-                      if i = n - 1 then Ok (header, List.rev acc, true)
-                      else
-                        Error
-                          (Corrupt (Printf.sprintf "record %d: %s" (i + 1) msg))
-                    in
-                    match Jsonl.decode_line line with
-                    | Error e -> bad e
-                    | Ok fields -> (
-                        match cell_of_fields fields with
-                        | None -> bad "malformed cell record"
-                        | Some c -> go (i + 1) (c :: acc) rest))
-              in
-              go 0 [] cell_lines))
+  match Recordlog.fold ~path ~init:None ~f:step with
+  | Error e -> Error (log_error e)
+  | Ok (None, _) -> Error (Corrupt "no header record")
+  | Ok (Some (header, cells), torn) -> Ok (header, List.rev cells, torn)
 
-(* ------------------------------------------------------------------ *)
-(* Writing                                                             *)
-(* ------------------------------------------------------------------ *)
+type writer = Recordlog.writer
 
-type writer = { oc : out_channel; rename_to : string option; tmp : string }
+let start w header =
+  Recordlog.write w (header_fields header);
+  w
 
-let open_writer ~path ~rename_to header =
-  let oc = open_out_bin path in
-  output_string oc (Jsonl.encode_line (header_fields header));
-  output_char oc '\n';
-  flush oc;
-  { oc; rename_to; tmp = path }
-
-let create ~path header = open_writer ~path ~rename_to:None header
+let create ~path header = start (Recordlog.create ~path) header
 
 let header_mismatch requested found =
   let show ps =
@@ -224,50 +190,25 @@ let resume ~path header =
     | Ok (found, cells, _truncated) -> (
         match header_mismatch header found with
         | Some msg -> Error (Mismatch msg)
-        | None ->
-            let tmp = path ^ ".tmp" in
-            Ok (open_writer ~path:tmp ~rename_to:(Some path) header, cells))
+        | None -> Ok (start (Recordlog.replace ~path) header, cells))
 
 let append ~path header =
-  if not (Sys.file_exists path) then
-    match create ~path header with
-    | w -> Ok (w, [])
-    | exception Sys_error m -> Error (Io m)
-  else
-    match load ~path with
-    | Error e -> Error e
-    | Ok (found, cells, truncated) -> (
-        match header_mismatch header found with
-        | Some msg -> Error (Mismatch msg)
-        | None -> (
-            try
-              if truncated then begin
-                (* appending after a torn final line would splice records
-                   together; rewrite the good prefix instead *)
-                let w = create ~path header in
-                List.iter
-                  (fun c ->
-                    output_string w.oc (Jsonl.encode_line (cell_fields c));
-                    output_char w.oc '\n')
-                  cells;
-                flush w.oc;
-                Ok (w, cells)
-              end
-              else
-                let oc =
-                  open_out_gen
-                    [ Open_wronly; Open_append; Open_binary ]
-                    0o644 path
-                in
-                Ok ({ oc; rename_to = None; tmp = path }, cells)
-            with Sys_error m -> Error (Io m)))
+  match Recordlog.append ~path ~init:None ~f:step with
+  | Error e -> Error (log_error e)
+  | Ok (None, w) -> (
+      (* a missing, empty or torn-header file starts afresh *)
+      match start w header with
+      | w -> Ok (w, [])
+      | exception Sys_error m -> Error (Io m))
+  | Ok (Some (found, cells), w) -> (
+      match header_mismatch header found with
+      | Some msg ->
+          Recordlog.close w;
+          Error (Mismatch msg)
+      | None -> Ok (w, List.rev cells))
 
 let write_cell w c =
   Span.with_ ~cat:"persist" "journal.append" @@ fun () ->
-  output_string w.oc (Jsonl.encode_line (cell_fields c));
-  output_char w.oc '\n';
-  flush w.oc
+  Recordlog.write w (cell_fields c)
 
-let commit w =
-  close_out w.oc;
-  match w.rename_to with None -> () | Some path -> Sys.rename w.tmp path
+let commit = Recordlog.close

@@ -1,11 +1,11 @@
 (** Crash-safe, append-only campaign result journal.
 
-    One JSONL file per campaign run: a versioned header line carrying the
-    campaign's parameters, then one self-describing, checksummed record
-    per completed cell, appended and flushed in deterministic task order
-    as the execution pool completes cells. A [kill -9] therefore loses at
-    most the in-flight cells: the file is a clean record prefix plus at
-    worst one torn final line, which {!load} discards instead of failing.
+    One {!Recordlog} file per campaign run (its framing and crash policy
+    are described there): a versioned header record carrying the
+    campaign's parameters, then one self-describing record per completed
+    cell, written in deterministic task order as the execution pool
+    completes cells. A [kill -9] therefore loses at most the in-flight
+    cells.
 
     Parameters split into {b identity} (seed0, fuel, configurations,
     modes, per-cell variant counts — anything that changes a cell's key
@@ -16,8 +16,8 @@
     a subset of a larger one's at the same identity.
 
     Resume rewrites rather than appends: replayed and newly-run cells
-    stream to [FILE.tmp] in the {e new} run's task order and the file is
-    atomically renamed over the journal on {!commit}. That is what makes
+    stream to a {!Recordlog.replace} writer in the {e new} run's task
+    order, renamed over the journal on {!commit}. That is what makes
     a resumed journal byte-identical to an uninterrupted run's, and it
     keeps the original journal intact if the resumed run crashes too. *)
 
@@ -61,7 +61,7 @@ val index_cells : cell list -> (string * int * int * string, cell) Hashtbl.t
 
 type error =
   | Io of string
-  | Corrupt of string  (** damage before the final record *)
+  | Corrupt of string  (** damage, or a record this format rejects *)
   | Mismatch of string  (** header identity differs *)
 
 val error_to_string : error -> string
@@ -73,9 +73,9 @@ val create : path:string -> header -> writer
 
 val resume : path:string -> header -> (writer * cell list, error) result
 (** Validate the journal at [path] against [header] (version, campaign
-    and identity parameters must match; a torn final line is discarded)
-    and return its cells plus a writer on [path.tmp] carrying the new
-    header. A missing file degrades to {!create} with no cells. *)
+    and identity parameters must match) and return its committed cells
+    plus a writer replacing [path] on {!commit}, carrying the new header.
+    A missing file degrades to {!create} with no cells. *)
 
 val append : path:string -> header -> (writer * cell list, error) result
 (** Validate like {!resume}, but return a writer that appends to [path]
@@ -83,14 +83,16 @@ val append : path:string -> header -> (writer * cell list, error) result
     file itself, with no commit-time rename. This is the scratch-journal
     mode of the distributed fabric: cells land in arrival order (not
     task order), so the file is a recovery record for {!load}, never a
-    byte-comparable artefact. A torn final line is dropped by rewriting
-    the good prefix; a missing file degrades to {!create}. *)
+    byte-comparable artefact. A torn tail is cut off first
+    ({!Recordlog.append}); a missing, empty or torn-header file starts
+    afresh like {!create}. *)
 
 val write_cell : writer -> cell -> unit
-(** Append one record and flush — the crash-safety point. *)
+(** Write one record ({!Recordlog.write}: the commit point). *)
 
 val commit : writer -> unit
-(** Close, and for a resume writer atomically rename over the journal. *)
+(** Close, and for a resume writer rename over the journal. *)
 
 val load : path:string -> (header * cell list * bool, error) result
-(** All valid records; the flag reports a discarded torn final line. *)
+(** The header and the committed cells; the flag reports a dropped torn
+    tail. *)

@@ -363,6 +363,27 @@ let test_journal_append () =
         [ mk_cell 1; mk_cell 0; mk_cell 2 ]
         cells;
       Journal.commit w);
+  (* a record cut just before its '\n' is not committed either: dropped
+     on reopen, and the next append lands after the repaired tail *)
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let oc = open_out_bin path in
+  output_string oc (String.sub data 0 (String.length data - 1));
+  close_out oc;
+  (match Journal.append ~path header with
+  | Error e -> Alcotest.failf "unterminated reopen: %s" (Journal.error_to_string e)
+  | Ok (w, cells) ->
+      check_cells "unterminated record dropped" [ mk_cell 1; mk_cell 0 ] cells;
+      Journal.write_cell w (mk_cell 3);
+      Journal.commit w);
+  (match Journal.load ~path with
+  | Error e -> Alcotest.failf "reload: %s" (Journal.error_to_string e)
+  | Ok (_, cells, torn) ->
+      Alcotest.(check bool) "clean after the append" false torn;
+      check_cells "appended after the repair"
+        [ mk_cell 1; mk_cell 0; mk_cell 3 ]
+        cells);
   (* identity mismatch still refused *)
   let other =
     Journal.make_header ~campaign:"t" ~ident:[ ("a", "2") ] ~scale:[]

@@ -232,6 +232,19 @@ let test_corpus () =
   (match Corpus.read_kernel ~dir ~hash:h with
   | Ok t -> Alcotest.(check string) "kernel text intact" text t
   | Error e -> Alcotest.fail e);
+  (* a kill mid-append cuts the last entry short: adding it again
+     repairs the tail instead of splicing onto the fragment *)
+  let index = Filename.concat dir "index.jsonl" in
+  let intact = read_file index in
+  let last = String.rindex_from intact (String.length intact - 2) '\n' + 1 in
+  let oc = open_out_bin index in
+  output_string oc (String.sub intact 0 (last + 20));
+  close_out oc;
+  (match Corpus.add_all ~dir [ (entry "wrong-code" 1, text) ] with
+  | Ok n -> Alcotest.(check int) "cut entry added again" 1 n
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check string) "index repaired byte for byte" intact
+    (read_file index);
   Alcotest.(check int) "one kernel file + index" 2
     (Array.length (Sys.readdir dir))
 
