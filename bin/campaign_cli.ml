@@ -426,30 +426,40 @@ let archive ~dir ~header ~cells report =
             ^ Printf.sprintf "corpus: %d new of %d exemplars in %s\n" added
                 (List.length buckets) dir))
 
+(* the text a campaign run prints *)
+let report_of = function
+  | Spec.Table text -> text ^ "\n"
+  | Spec.Fuzz r -> Fuzz_loop.to_table r ^ "\n"
+
+(* Run one campaign spec in this process under the journal and telemetry
+   plumbing — the path of every campaign subcommand. [tap] sees the
+   journal sink (table4's corpus collects the cell stream there);
+   [finish] turns the run's summary into the exit code. *)
+let run_campaign ~jobs ~journal ~resume ~telemetry ~tap ~finish = function
+  | Error m -> fail "%s" m
+  | Ok spec -> (
+      let header = Spec.header spec in
+      with_telemetry ~telemetry ~header ~label:spec.Spec.campaign
+        ~total:(Spec.total_cells spec)
+      @@ fun wrap ev ->
+      match
+        with_journal ~header ~journal ~resume (fun sink cells ->
+            Spec.run_local ~jobs ?sink:(wrap (tap sink)) ~events:ev
+              ~resume:cells spec)
+      with
+      | Error m -> fail "%s" m
+      | Ok summary -> finish spec summary)
+
 let table1_cmd =
   let run n jobs fuel journal resume out telemetry =
-    let header = Classify.journal_header ?fuel ~per_mode:n () in
-    let total =
-      n * List.length Gen_config.all_modes * List.length Config.all
-    in
-    with_telemetry ~telemetry ~header ~label:"table1" ~total @@ fun wrap _ev ->
-    match
-      with_journal ~header ~journal ~resume (fun sink cells ->
-          Classify.run ~jobs ?fuel ~per_mode:n ?sink:(wrap sink) ~resume:cells ())
-    with
-    | Error m -> fail "%s" m
-    | Ok t ->
-        let a, total = Classify.agreement_with_paper t in
-        emit out
-          (Classify.to_table t ^ "\n"
-          ^ Printf.sprintf
-              "classification agreement with the paper's Table 1: %d/%d\n" a
-              total)
+    run_campaign ~jobs ~journal ~resume ~telemetry ~tap:Fun.id
+      ~finish:(fun _ s -> emit out (report_of s))
+      (Spec.make ~campaign:"table1" ~n ?fuel ())
   in
   Cmd.v (Cmd.info "table1" ~doc:"Initial testing and reliability threshold")
     Term.(
       const run
-      $ n_arg 10 "initial kernels per mode (paper: 100)"
+      $ n_arg (Spec.default_n "table1") "initial kernels per mode (paper: 100)"
       $ jobs_arg $ fuel_arg $ journal_arg $ resume_arg $ out_arg
       $ telemetry_term)
 
@@ -459,37 +469,23 @@ let table2_cmd =
 
 let table3_cmd =
   let run n jobs fuel journal resume out telemetry =
-    let header = Bench_emi.journal_header ?fuel ~variants:n () in
-    let total =
-      List.length Suite.emi_eligible * List.length Bench_emi.default_configs
-    in
-    with_telemetry ~telemetry ~header ~label:"table3" ~total @@ fun wrap _ev ->
-    match
-      with_journal ~header ~journal ~resume (fun sink cells ->
-          Bench_emi.run ~jobs ?fuel ~variants:n ?sink:(wrap sink) ~resume:cells ())
-    with
-    | Error m -> fail "%s" m
-    | Ok t -> emit out (Bench_emi.to_table t ^ "\n")
+    run_campaign ~jobs ~journal ~resume ~telemetry ~tap:Fun.id
+      ~finish:(fun _ s -> emit out (report_of s))
+      (Spec.make ~campaign:"table3" ~n:0 ?fuel ~variants:n ())
   in
   Cmd.v (Cmd.info "table3" ~doc:"EMI testing over the Parboil/Rodinia ports")
     Term.(
       const run
-      $ n_arg 12 "EMI variants per benchmark (paper: 125)"
+      $ n_arg (Spec.default_n "table3") "EMI variants per benchmark (paper: 125)"
       $ jobs_arg $ fuel_arg $ journal_arg $ resume_arg $ out_arg
       $ telemetry_term)
 
 let table4_cmd =
   let run n jobs fuel journal resume corpus out telemetry =
-    let header = Campaign.journal_header ?fuel ~per_mode:n () in
-    let total =
-      n * List.length Gen_config.all_modes
-      * List.length Config.above_threshold_ids
-      * 2
-    in
     (* the corpus is populated from the run's own cell stream, so it works
        with or without a journal *)
     let collected = ref [] in
-    let collect sink =
+    let tap sink =
       match (corpus, sink) with
       | None, s -> s
       | Some _, None -> Some (fun c -> collected := c :: !collected)
@@ -499,46 +495,38 @@ let table4_cmd =
               collected := c :: !collected;
               s c)
     in
-    with_telemetry ~telemetry ~header ~label:"table4" ~total @@ fun wrap _ev ->
-    match
-      with_journal ~header ~journal ~resume (fun sink cells ->
-          Campaign.run ~jobs ?fuel ~per_mode:n ?sink:(wrap (collect sink))
-            ~resume:cells ())
-    with
-    | Error m -> fail "%s" m
-    | Ok t -> (
-        let report = Campaign.to_table t ^ "\n" in
-        match corpus with
-        | None -> emit out report
-        | Some dir -> (
-            match archive ~dir ~header ~cells:(List.rev !collected) report with
-            | Error m -> fail "corpus: %s" m
-            | Ok report -> emit out report))
+    let finish spec s =
+      let report = report_of s in
+      match corpus with
+      | None -> emit out report
+      | Some dir -> (
+          match
+            archive ~dir ~header:(Spec.header spec)
+              ~cells:(List.rev !collected) report
+          with
+          | Error m -> fail "corpus: %s" m
+          | Ok report -> emit out report)
+    in
+    run_campaign ~jobs ~journal ~resume ~telemetry ~tap ~finish
+      (Spec.make ~campaign:"table4" ~n ?fuel ())
   in
   Cmd.v (Cmd.info "table4" ~doc:"Intensive CLsmith differential testing")
     Term.(
       const run
-      $ n_arg 60 "kernels per mode (paper: 10000)"
+      $ n_arg (Spec.default_n "table4") "kernels per mode (paper: 10000)"
       $ jobs_arg $ fuel_arg $ journal_arg $ resume_arg $ corpus_arg $ out_arg
       $ telemetry_term)
 
 let table5_cmd =
   let run n v jobs fuel journal resume out telemetry =
-    let header = Emi_campaign.journal_header ?fuel ~bases:n ~variants:v () in
-    let total = n * List.length Config.above_threshold_ids * 2 in
-    with_telemetry ~telemetry ~header ~label:"table5" ~total @@ fun wrap _ev ->
-    match
-      with_journal ~header ~journal ~resume (fun sink cells ->
-          Emi_campaign.run ~jobs ?fuel ~bases:n ~variants:v ?sink:(wrap sink)
-            ~resume:cells ())
-    with
-    | Error m -> fail "%s" m
-    | Ok t -> emit out (Emi_campaign.to_table t ^ "\n")
+    run_campaign ~jobs ~journal ~resume ~telemetry ~tap:Fun.id
+      ~finish:(fun _ s -> emit out (report_of s))
+      (Spec.make ~campaign:"table5" ~n ?fuel ~variants:v ())
   in
   Cmd.v (Cmd.info "table5" ~doc:"CLsmith+EMI metamorphic testing")
     Term.(
       const run
-      $ n_arg 15 "base programs (paper: 180)"
+      $ n_arg (Spec.default_n "table5") "base programs (paper: 180)"
       $ Arg.(
           value & opt int 10
           & info [ "variants" ] ~doc:"variants per base (paper: 40)")
@@ -586,69 +574,62 @@ let triage_cmd =
 let fuzz_cmd =
   let run budget seed gen_size no_feedback minimize jobs fuel journal resume
       corpus covmap out telemetry =
-    let feedback = not no_feedback in
-    let header =
-      Fuzz_loop.journal_header ?fuel ~budget ~seed ~feedback ~gen_size
-        ~minimize ()
+    let finish _ = function
+      | Spec.Table _ as s -> emit out (report_of s)
+      | Spec.Fuzz r as s -> (
+          let report = report_of s in
+          let rc_cov =
+            match covmap with
+            | None -> 0
+            | Some path -> (
+                try
+                  let oc = open_out path in
+                  output_string oc (Covmap.to_hex r.Fuzz_loop.covmap);
+                  output_char oc '\n';
+                  close_out oc;
+                  0
+                with Sys_error m -> fail "covmap: %s" m)
+          in
+          if rc_cov <> 0 then rc_cov
+          else
+            match corpus with
+            | None -> emit out report
+            | Some dir -> (
+                match Seedpool.persist r.Fuzz_loop.pool ~dir with
+                | Error m -> fail "corpus: %s" m
+                | Ok new_seeds -> (
+                    match Corpus.add_all ~dir (Fuzz_loop.finding_entries r) with
+                    | Error m -> fail "corpus: %s" m
+                    | Ok new_bugs -> (
+                        (* one pass over the archive just written: entry and
+                           distinct-kernel tallies for the report *)
+                        match Corpus.load_all ~dir with
+                        | Error m -> fail "corpus: %s" m
+                        | Ok all ->
+                            let seeds, bugs =
+                              List.partition
+                                (fun ((e : Corpus.entry), _) -> e.Corpus.cls = "seed")
+                                all
+                            in
+                            let kernels =
+                              List.length
+                                (List.sort_uniq String.compare
+                                   (List.map
+                                      (fun ((e : Corpus.entry), _) -> e.Corpus.hash)
+                                      all))
+                            in
+                            emit out
+                              (report
+                              ^ Printf.sprintf
+                                  "corpus: +%d seed / +%d bug entries this run; \
+                                   %d seed + %d bug entries, %d distinct kernels \
+                                   in %s\n"
+                                  new_seeds new_bugs (List.length seeds)
+                                  (List.length bugs) kernels dir)))))
     in
-    let total = budget * Fuzz_loop.cells_per_kernel () in
-    with_telemetry ~telemetry ~header ~label:"fuzz" ~total @@ fun wrap ev ->
-    match
-      with_journal ~header ~journal ~resume (fun sink cells ->
-          Fuzz_loop.run ~jobs ?fuel ~budget ~seed ~feedback ~gen_size ~minimize
-            ?sink:(wrap sink) ~events:ev ~resume:cells ())
-    with
-    | Error m -> fail "%s" m
-    | Ok r -> (
-        let report = Fuzz_loop.to_table r ^ "\n" in
-        let rc_cov =
-          match covmap with
-          | None -> 0
-          | Some path -> (
-              try
-                let oc = open_out path in
-                output_string oc (Covmap.to_hex r.Fuzz_loop.covmap);
-                output_char oc '\n';
-                close_out oc;
-                0
-              with Sys_error m -> fail "covmap: %s" m)
-        in
-        if rc_cov <> 0 then rc_cov
-        else
-          match corpus with
-          | None -> emit out report
-          | Some dir -> (
-              match Seedpool.persist r.Fuzz_loop.pool ~dir with
-              | Error m -> fail "corpus: %s" m
-              | Ok new_seeds -> (
-                  match Corpus.add_all ~dir (Fuzz_loop.finding_entries r) with
-                  | Error m -> fail "corpus: %s" m
-                  | Ok new_bugs -> (
-                      (* one pass over the archive just written: entry and
-                         distinct-kernel tallies for the report *)
-                      match Corpus.load_all ~dir with
-                      | Error m -> fail "corpus: %s" m
-                      | Ok all ->
-                          let seeds, bugs =
-                            List.partition
-                              (fun ((e : Corpus.entry), _) -> e.Corpus.cls = "seed")
-                              all
-                          in
-                          let kernels =
-                            List.length
-                              (List.sort_uniq String.compare
-                                 (List.map
-                                    (fun ((e : Corpus.entry), _) -> e.Corpus.hash)
-                                    all))
-                          in
-                          emit out
-                            (report
-                            ^ Printf.sprintf
-                                "corpus: +%d seed / +%d bug entries this run; \
-                                 %d seed + %d bug entries, %d distinct kernels \
-                                 in %s\n"
-                                new_seeds new_bugs (List.length seeds)
-                                (List.length bugs) kernels dir)))))
+    run_campaign ~jobs ~journal ~resume ~telemetry ~tap:Fun.id ~finish
+      (Spec.make ~campaign:"fuzz" ~n:budget ~seed0:seed ?fuel
+         ~feedback:(not no_feedback) ~gen_size ~minimize ())
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -660,7 +641,7 @@ let fuzz_cmd =
     Term.(
       const run
       $ Arg.(
-          value & opt int Fuzz_loop.default_budget
+          value & opt int (Spec.default_n "fuzz")
           & info [ "budget" ]
               ~doc:"Total kernels to execute (the search budget).")
       $ Arg.(
@@ -930,17 +911,7 @@ let status_arg =
 let coordinate_cmd =
   let run campaign addr workers chunk ttl n seed variants gen_size no_feedback
       minimize jobs fuel journal resume out status telemetry =
-    let n =
-      match n with
-      | Some n -> n
-      | None -> (
-          match campaign with
-          | "table1" -> 10
-          | "table3" -> 12
-          | "table4" -> 60
-          | "table5" -> 15
-          | _ -> Fuzz_loop.default_budget)
-    in
+    let n = match n with Some n -> n | None -> Spec.default_n campaign in
     match
       Spec.make ~campaign
         ~n:(if campaign = "table3" then 0 else n)
@@ -1195,9 +1166,7 @@ let coordinate_cmd =
               Option.iter
                 (fun p -> try Sys.remove p with Sys_error _ -> ())
                 scratch;
-              (match r with
-              | Spec.Table text -> emit out (text ^ "\n")
-              | Spec.Fuzz fr -> emit out (Fuzz_loop.to_table fr ^ "\n"))
+              emit out (report_of r)
         in
         (match dist_wd with Some w -> Watchdog.stop w | None -> ());
         rc

@@ -21,6 +21,13 @@ let default_seed0 = function
 
 let default_variants = function "table3" -> 12 | _ -> 10
 
+let default_n = function
+  | "table1" -> 10
+  | "table3" -> default_variants "table3"
+  | "table4" -> 60
+  | "table5" -> 15
+  | _ -> Fuzz_loop.default_budget
+
 let make ~campaign ~n ?seed0 ?fuel ?config_ids ?variants ?(feedback = true)
     ?(gen_size = Fuzz_loop.default_gen_size) ?(minimize = false) () =
   if not (List.mem campaign campaigns) then

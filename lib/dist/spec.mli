@@ -45,6 +45,12 @@ val make :
     (table1: 1, table3: 90000, table4: 10000, table5: 50000, fuzz: 1)
     and [variants] (table3: 12, table5: 10). *)
 
+val default_n : string -> int
+(** A campaign's default scale on the command line ([-n]): kernels per
+    mode (table1: 10, table4: 60), bases (table5: 15), kernel budget
+    (fuzz: {!Fuzz_loop.default_budget}) — and for table3, whose
+    benchmark set is fixed, its EMI variants (12). *)
+
 val to_json : t -> Jsonl.t
 val of_json : Jsonl.t -> (t, string) result
 

@@ -11,20 +11,18 @@ type counters = { mutable frames : int; mutable bytes : int }
 
 let counters () = { frames = 0; bytes = 0 }
 
-(* transport totals feed the global registry lazily: a process that
-   never touches a socket never grows its metrics output *)
-let metric_in_frames = lazy (Metrics.counter "wire.in.frames")
-let metric_in_bytes = lazy (Metrics.counter "wire.in.bytes")
-let metric_out_frames = lazy (Metrics.counter "wire.out.frames")
-let metric_out_bytes = lazy (Metrics.counter "wire.out.bytes")
-
+(* transport totals register in the global registry on first use, so a
+   process that never touches a socket never grows its metrics output.
+   [Metrics.counter] finds or registers under its own lock: two workers
+   in one process may send their first frames at once, and a racing
+   force of a shared [Lazy.t] raises [CamlinternalLazy.Undefined] *)
 let count_out c payload_len =
   (* header digits + '\n' + payload + '\n', matching what [frame] sends *)
   let n = String.length (string_of_int payload_len) + 1 + payload_len + 1 in
   c.frames <- c.frames + 1;
   c.bytes <- c.bytes + n;
-  Metrics.incr (Lazy.force metric_out_frames);
-  Metrics.add (Lazy.force metric_out_bytes) n
+  Metrics.incr (Metrics.counter "wire.out.frames");
+  Metrics.add (Metrics.counter "wire.out.bytes") n
 
 type decoder = {
   buf : Buffer.t;
@@ -50,7 +48,7 @@ let compact d =
 
 let count_in d n =
   d.ingress.bytes <- d.ingress.bytes + n;
-  Metrics.add (Lazy.force metric_in_bytes) n
+  Metrics.add (Metrics.counter "wire.in.bytes") n
 
 let feed d b n =
   count_in d n;
@@ -96,7 +94,7 @@ let next d =
                 else begin
                   d.off <- nl + 1 + plen + 1;
                   d.ingress.frames <- d.ingress.frames + 1;
-                  Metrics.incr (Lazy.force metric_in_frames);
+                  Metrics.incr (Metrics.counter "wire.in.frames");
                   `Frame payload
                 end
               end))

@@ -93,6 +93,20 @@ let cls_of_bucket = function
 (* one planned kernel of a generation *)
 type planned = { kidx : int; prov : provenance; tc : Ast.testcase; prep : Driver.prepared }
 
+(* a cell's result is its outcome with the interpreter tally the coverage
+   fold reads; the note carries both across a resume *)
+let codec =
+  {
+    Par.outcomes = (fun (o, _) -> [ o ]);
+    note = (fun (k, _, _) _ st -> note_of k.prov st);
+    decode =
+      (function
+      | { Journal.outcomes = [ o ]; note; _ } ->
+          Option.map (fun st -> ((o, st), st)) (stats_of_note note)
+      | _ -> None);
+    crash = (fun o -> (o, Interp.zero_stats));
+  }
+
 let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     ?(feedback = true) ?(gen_size = default_gen_size) ?(minimize = false) ?sink
     ?(events = fun (_ : Eventlog.event) -> ()) ?resume ?exec_filter () =
@@ -105,11 +119,6 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     List.concat_map (fun c -> [ (c.Config.id, false); (c.Config.id, true) ]) configs
   in
   let n_keys = List.length keys in
-  let replay =
-    match resume with
-    | None | Some [] -> None
-    | Some cells -> Some (Journal.index_cells cells)
-  in
   let cov = Covmap.create () in
   let spool = Seedpool.create () in
   let m_kernels = Metrics.counter "fuzz.kernels"
@@ -123,7 +132,6 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
   let rev_stats = ref [] in
   let fresh_counter = ref 0 in
   let kernels_run = ref 0 in
-  let cell_base = ref 0 in
   (* pool entry id -> kernel index of the admitted kernel, so mutant
      provenance can name its parent by kernel index: the journal is then
      self-contained for lineage reconstruction (a kernel index resolves
@@ -146,6 +154,12 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
     else (P_gen gseed, tc)
   in
   Pool.with_pool ~jobs @@ fun pool ->
+  (* one engine for the whole run: cells are numbered across generations.
+     A distributed worker is sound only because the coordinator syncs
+     every cell of prior generations before leasing generation [g] (the
+     planner needs real coverage state) and the worker discards this
+     run's own fold products, forwarding only sink-accepted cells. *)
+  let eng = Par.engine ?sink ?resume ?exec_filter pool in
   let gen = ref 0 in
   while !kernels_run < budget do
     let g = !gen in
@@ -195,61 +209,14 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
             configs)
         planned
     in
-    let tasks_arr = Array.of_list tasks in
-    let cell_of i ((o : Outcome.t), (st : Interp.stats)) =
-      let k, c, opt = tasks_arr.(i) in
-      {
-        Journal.index = !cell_base + i;
-        seed = k.kidx;
-        mode = "fuzz";
-        config = c.Config.id;
-        opt = opt_str opt;
-        outcomes = [ o ];
-        note = note_of k.prov st;
-      }
-    in
-    let sink = Option.map (fun emit i r -> emit (cell_of i r)) sink in
-    let replayed =
-      Option.map
-        (fun tbl i ->
-          let k, c, opt = tasks_arr.(i) in
-          match
-            Hashtbl.find_opt tbl ("fuzz", k.kidx, c.Config.id, opt_str opt)
-          with
-          | Some { Journal.outcomes = [ o ]; note; _ } -> (
-              match stats_of_note note with
-              | Some st -> Some (o, st)
-              | None -> None)
-          | _ -> None)
-        replay
-    in
-    (* distributed worker: placeholders for non-replayed cells outside the
-       leased shard. Sound only because the coordinator syncs every cell
-       of prior generations before leasing generation [g] (the planner
-       needs real coverage state) and the worker discards this run's own
-       fold products, forwarding only sink-accepted cells. *)
-    let lookup =
-      match exec_filter with
-      | None -> replayed
-      | Some keep ->
-          Some
-            (fun i ->
-              match Option.bind replayed (fun f -> f i) with
-              | Some r -> Some r
-              | None ->
-                  if keep (!cell_base + i) then None
-                  else
-                    Some
-                      ( Outcome.Crash "skipped: outside shard",
-                        Interp.zero_stats ))
-    in
     let merged =
-      Par.run_resumable pool ?sink ?lookup
-        ~f:(fun (k, c, opt) -> Driver.run_prepared_stats ?fuel c ~opt k.prep)
-        ~on_error:(fun e -> (Par.crash_of_exn e, Interp.zero_stats))
+      Par.cells eng codec
+        ~key:(fun (k, c, opt) -> ("fuzz", k.kidx, c.Config.id, opt_str opt))
+        ~f:(fun _ (k, c, opt) ->
+          let ((_, st) as r) = Driver.run_prepared_stats ?fuel c ~opt k.prep in
+          (r, st))
         tasks
     in
-    cell_base := !cell_base + Array.length tasks_arr;
     (* fold the merged stream, kernel by kernel, in task order: coverage,
        admission, metrics and triage all derive from this ordered pass *)
     let gen_new_bits = ref 0
@@ -260,14 +227,10 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
         (match k.prov with
         | P_mut _ ->
             incr gen_mutants;
-            Metrics.incr m_mutants
+            Par.tally eng m_mutants 1
         | P_gen _ -> ());
-        Metrics.incr m_kernels;
-        let outcomes = List.map fst kernel_results in
-        let majority =
-          Span.with_ ~cat:"vote" "vote" (fun () ->
-              Majority.majority_output outcomes)
-        in
+        Par.tally eng m_kernels 1;
+        let buckets = Par.vote eng (List.map fst kernel_results) in
         let features = Driver.features_of_prepared k.prep in
         let text = lazy (Pp.program_to_string k.tc.Ast.prog) in
         let hash = lazy (Corpus.hash_text (Lazy.force text)) in
@@ -276,10 +239,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
         (* the first cell that lit a new coverage point, for minimization *)
         let novel_cell = ref None in
         List.iter2
-          (fun (cfg_id, opt) ((o : Outcome.t), (st : Interp.stats)) ->
-            Par.record_cell st [ o ];
-            let b = Majority.bucket_of ~majority o in
-            Par.record_bucket b;
+          (fun (cfg_id, opt) (((o : Outcome.t), (st : Interp.stats)), b) ->
             let divergent = b = Majority.B_wrong in
             let idx =
               Covmap.indices ~features ~config:cfg_id ~opt ~divergent
@@ -322,11 +282,12 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
                        mode = "fuzz";
                        hash = Lazy.force hash;
                      }))
-          keys kernel_results;
+          keys
+          (List.combine kernel_results buckets);
         gen_new_bits := !gen_new_bits + !kernel_bits;
-        Metrics.add m_new_bits !kernel_bits;
+        Par.tally eng m_new_bits !kernel_bits;
         if !kernel_bits > 0 then begin
-          Metrics.incr m_admitted;
+          Par.tally eng m_admitted 1;
           events
             (Eventlog.Coverage_delta
                {
@@ -400,7 +361,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
   {
     budget;
     kernels_run = !kernels_run;
-    cells_run = !cell_base;
+    cells_run = !kernels_run * n_keys;
     generations = List.rev !rev_stats;
     covmap = cov;
     pool = spool;

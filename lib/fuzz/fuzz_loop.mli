@@ -104,7 +104,7 @@ val run :
 (** [feedback:false] degrades to a blind sweep — fresh kernels only,
     the pool never consulted — so the feedback advantage is directly
     measurable at equal budget. [sink]/[resume] follow the campaign
-    persistence contract ({!Par.run_resumable}). [events] receives the
+    persistence contract ({!Par.engine}). [events] receives the
     loop's lifecycle events ([Generation], [Coverage_delta],
     [Triage_hit]) from the ordered fold over the merged result stream —
     deterministic and [-j]-invariant, like the journal.

@@ -39,6 +39,19 @@ type bench_setup = {
   tests : (bool * Driver.prepared) list;  (** (substitutions on?, variant) *)
 }
 
+(* a cell's result is its code, journalled in the note with no outcomes; a
+   cell whose harness code raises is a crash of unknown provenance *)
+let codec =
+  {
+    Par.outcomes = (fun _ -> []);
+    note = (fun _ code _ -> code_to_string code);
+    decode =
+      (fun c ->
+        Option.map (fun code -> (code, Interp.zero_stats))
+          (code_of_string c.Journal.note));
+    crash = (fun _ -> Crash "?");
+  }
+
 let journal_header ?fuel ?(variants = 12) ?(seed0 = 90_000) ?config_ids () =
   let config_ids =
     match config_ids with Some l -> l | None -> default_configs
@@ -104,7 +117,7 @@ let run ?jobs ?fuel ?(variants = 12) ?(seed0 = 90_000) ?config_ids ?sink
       work := Interp.add_stats !work st;
       o
     in
-    let finish code = ((c.Config.id, code), !work) in
+    let finish code = (code, !work) in
     let orig_ok opt =
       match run_counted ~opt s.orig_prep with
       | Outcome.Success out -> String.equal out s.expected
@@ -147,73 +160,25 @@ let run ?jobs ?fuel ?(variants = 12) ?(seed0 = 90_000) ?config_ids ?sink
   let tasks =
     List.concat_map (fun s -> List.map (fun c -> (s, c)) configs) setups
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_record i (config, code) =
-    let s, _ = tasks_arr.(i) in
-    {
-      Journal.index = i;
-      seed = 0;
-      mode = s.name;
-      config;
-      opt = "*";
-      outcomes = [];
-      note = code_to_string code;
-    }
+  let eng = Par.engine ?sink ?resume ?exec_filter pool in
+  let codes =
+    Par.cells eng codec
+      ~key:(fun (s, c) -> (s.name, 0, c.Config.id, "*"))
+      ~f:(fun _ task -> cell task)
+      tasks
   in
-  let sink = Option.map (fun emit i (r, _stats) -> emit (cell_record i r)) sink in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let s, c = tasks_arr.(i) in
-            match Hashtbl.find_opt tbl (s.name, 0, c.Config.id, "*") with
-            | Some { Journal.note; _ } ->
-                Option.map
-                  (fun code -> ((c.Config.id, code), Interp.zero_stats))
-                  (code_of_string note)
-            | None -> None)
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  let _, c = tasks_arr.(i) in
-                  Some ((c.Config.id, Crash "?"), Interp.zero_stats))
-  in
-  let cells =
-    (* exception isolation: a cell whose harness code raises becomes a
-       crash cell for its configuration; fatal exhaustion still surfaces *)
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun ((_, c) as task) ->
-        try cell task
-        with e when not (Pool.is_fatal e) ->
-          ((c.Config.id, Crash "?"), Interp.zero_stats))
-      ~on_error:raise tasks
-    (* table 3 cells have no per-run outcome list; their class lives in
-       the note code, tallied under cells.note.* *)
-    |> List.map (fun ((id, code), stats) ->
-           Par.record_cell stats [];
-           Metrics.incr (Metrics.counter ("cells.note." ^ code_to_string code));
-           (id, code))
-  in
+  (* table 3 cells have no per-run outcome list; their class lives in the
+     note code, tallied under cells.note.* *)
+  List.iter
+    (fun code ->
+      Par.tally eng (Metrics.counter ("cells.note." ^ code_to_string code)) 1)
+    codes;
   (* regroup the flat cell list by benchmark, in task order *)
   let results =
     List.map2
-      (fun s row -> (s.name, row))
+      (fun s row -> (s.name, List.combine config_ids row))
       setups
-      (Par.chunk (List.length configs) cells)
+      (Par.chunk (List.length configs) codes)
   in
   { variants; results }
 

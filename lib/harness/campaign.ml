@@ -40,6 +40,18 @@ let journal_header ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes
       ]
     ~scale:[ ("per_mode", string_of_int per_mode) ]
 
+(* a cell's result is its one outcome *)
+let codec =
+  {
+    Par.outcomes = (fun o -> [ o ]);
+    note = (fun _ _ _ -> "");
+    decode =
+      (function
+      | { Journal.outcomes = [ o ]; _ } -> Some (o, Interp.zero_stats)
+      | _ -> None);
+    crash = Fun.id;
+  }
+
 let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
     ?resume ?exec_filter () =
   let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
@@ -48,15 +60,12 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
   in
   let modes = match modes with Some m -> m | None -> Gen_config.all_modes in
   let configs = List.map Config.find config_ids in
-  let replay =
-    match resume with
-    | None | Some [] -> None
-    | Some cells -> Some (Journal.index_cells cells)
+  let keys =
+    List.concat_map (fun c -> [ (c.Config.id, false); (c.Config.id, true) ]) configs
   in
-  (* cells are journalled with their position in the whole run's task
-     order, counted across modes *)
-  let base = ref 0 in
   Pool.with_pool ~jobs @@ fun pool ->
+  (* one engine for the whole run: cells are numbered across modes *)
+  let eng = Par.engine ?sink ?resume ?exec_filter pool in
   List.map
     (fun mode ->
       let mode_name = Gen_config.mode_name mode in
@@ -80,13 +89,9 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
           | _ -> Par.Accept (seed, prep)
       in
       let kernels, rejects = Par.collect pool ~n:per_mode ~seed0 ~classify in
-      let keys =
-        List.concat_map
-          (fun c -> [ (c.Config.id, false); (c.Config.id, true) ])
-          configs
-      in
       (* phase 2: every (kernel, config, opt-level) cell is one pool task,
-         in kernel-major stable order *)
+         in kernel-major stable order; its global index is the causal flow
+         id stitching exec spans to coordinator leases *)
       let tasks =
         List.concat_map
           (fun (seed, prep) ->
@@ -94,84 +99,24 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
               (fun c -> [ (seed, prep, c, false); (seed, prep, c, true) ])
               configs)
           kernels
-        (* each task carries its global cell index — the journal index and
-           the causal flow id stitching exec spans to coordinator leases *)
-        |> List.mapi (fun i (seed, prep, c, opt) -> (seed, prep, c, opt, !base + i))
-      in
-      let tasks_arr = Array.of_list tasks in
-      let cell_of i o =
-        let seed, _, c, opt, _ = tasks_arr.(i) in
-        {
-          Journal.index = !base + i;
-          seed;
-          mode = mode_name;
-          config = c.Config.id;
-          opt = opt_str opt;
-          outcomes = [ o ];
-          note = "";
-        }
-      in
-      let sink = Option.map (fun emit i (o, _stats) -> emit (cell_of i o)) sink in
-      let replayed =
-        Option.map
-          (fun tbl i ->
-            let seed, _, c, opt, _ = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl (mode_name, seed, c.Config.id, opt_str opt)
-            with
-            | Some { Journal.outcomes = [ o ]; _ } ->
-                Some (o, Interp.zero_stats)
-            | _ -> None)
-          replay
-      in
-      (* a distributed worker executes only its leased shard: every other
-         non-replayed cell degrades to an instant placeholder, never sent
-         anywhere — only the shard's real cells leave this process *)
-      let lookup =
-        match exec_filter with
-        | None -> replayed
-        | Some keep ->
-            Some
-              (fun i ->
-                match Option.bind replayed (fun f -> f i) with
-                | Some r -> Some r
-                | None ->
-                    if keep (!base + i) then None
-                    else
-                      Some
-                        ( Outcome.Crash "skipped: outside shard",
-                          Interp.zero_stats ))
       in
       let outcomes =
-        Par.run_resumable pool ?sink ?lookup
-          ~f:(fun (_, prep, c, opt, flow) ->
+        Par.cells eng codec
+          ~key:(fun (seed, _, c, opt) -> (mode_name, seed, c.Config.id, opt_str opt))
+          ~f:(fun flow (_, prep, c, opt) ->
             Driver.run_prepared_stats ?fuel ~flow c ~opt prep)
-          ~on_error:(fun e -> (Par.crash_of_exn e, Interp.zero_stats))
           tasks
-        (* metrics fold over the merged list, in task order: replayed
-           cells count their outcome but no interpreter work *)
-        |> List.map (fun (o, stats) ->
-               Par.record_cell stats [ o ];
-               o)
       in
-      base := !base + Array.length tasks_arr;
       (* deterministic merge: regroup the flat outcome list by kernel (the
          chunk layout mirrors [keys]) and fold buckets in task order *)
       let cells = Hashtbl.create 64 in
       List.iter (fun k -> Hashtbl.replace cells k zero_cell) keys;
       List.iter
         (fun kernel_outcomes ->
-          let results = List.combine keys kernel_outcomes in
-          let majority =
-            Span.with_ ~cat:"vote" "vote" (fun () ->
-                Majority.majority_output kernel_outcomes)
-          in
-          List.iter
-            (fun (key, o) ->
-              let b = Majority.bucket_of ~majority o in
-              Par.record_bucket b;
+          List.iter2
+            (fun key b ->
               Hashtbl.replace cells key (add_bucket (Hashtbl.find cells key) b))
-            results)
+            keys (Par.vote eng kernel_outcomes))
         (Par.chunk (List.length keys) outcomes);
       {
         mode;

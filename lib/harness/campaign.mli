@@ -57,8 +57,9 @@ val run :
     at the same seed. [fuel] overrides the per-task soft timeout (the
     interpreter's step budget).
 
-    [sink] is invoked once per completed cell, in deterministic task
-    order, streamed as results complete (see {!Par.run_resumable}) — the
+    [sink], [resume] and [exec_filter] build the run's cell engine
+    ({!Par.engine}). [sink] is invoked once per completed cell, in
+    deterministic task order, streamed as results complete — the
     journalling hook. [resume] replays previously journalled cells:
     any task whose [(mode, seed, config, opt)] key is found is not
     re-executed, its recorded outcome is used (and re-emitted to [sink]
@@ -70,8 +71,9 @@ val run :
     [exec_filter] is the distributed-worker hook: when given, a cell
     whose global task index is rejected (and that [resume] does not
     replay) is not executed — it yields an instant placeholder outcome
-    instead. The caller (a fabric worker) must then treat the fold
-    result as garbage and only forward cells its [sink] accepted. *)
+    instead, and only the kept cells are counted in {!Metrics}. The
+    caller (a fabric worker) must then treat the fold result as garbage
+    and only forward cells its [sink] accepted. *)
 
 val to_table : mode_result list -> string
 val totals : mode_result list -> (Gen_config.mode * cell) list

@@ -47,6 +47,20 @@ let journal_header ?fuel ?(per_mode = 10) ?(seed0 = 1) () =
       ]
     ~scale:[ ("per_mode", string_of_int per_mode) ]
 
+(* a cell is one (kernel, configuration): its two optimisation levels are
+   journalled together as opt "*" with a two-element outcome list *)
+let codec =
+  {
+    Par.outcomes = (fun (off, on) -> [ off; on ]);
+    note = (fun _ _ _ -> "");
+    decode =
+      (function
+      | { Journal.outcomes = [ off; on ]; _ } ->
+          Some ((off, on), Interp.zero_stats)
+      | _ -> None);
+    crash = (fun o -> (o, o));
+  }
+
 let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
     : t =
   let jobs = match jobs with Some j -> j | None -> Pool.recommended_jobs () in
@@ -61,9 +75,7 @@ let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
   and tmo = Array.make n 0
   and tot = Array.make n 0 in
   (* one task per (kernel, configuration) cell, kernel-major; the prepared
-     kernel is shared by all of its cells across domains. A cell's two
-     optimisation levels are journalled together as opt "*" with a
-     two-element outcome list. *)
+     kernel is shared by all of its cells across domains *)
   let tasks =
     List.concat_map
       (fun (seed, mode, tc) ->
@@ -71,91 +83,35 @@ let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
         List.map (fun c -> (seed, mode, prep, c)) configs)
       kernels
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_of i (off, on) =
-    let seed, mode, _, c = tasks_arr.(i) in
-    {
-      Journal.index = i;
-      seed;
-      mode = Gen_config.mode_name mode;
-      config = c.Config.id;
-      opt = "*";
-      outcomes = [ off; on ];
-      note = "";
-    }
-  in
-  let sink = Option.map (fun emit i (pair, _stats) -> emit (cell_of i pair)) sink in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let seed, mode, _, c = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl
-                (Gen_config.mode_name mode, seed, c.Config.id, "*")
-            with
-            | Some { Journal.outcomes = [ off; on ]; _ } ->
-                Some ((off, on), Interp.zero_stats)
-            | _ -> None)
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  let skip = Outcome.Crash "skipped: outside shard" in
-                  Some ((skip, skip), Interp.zero_stats))
-  in
+  let eng = Par.engine ?sink ?resume ?exec_filter pool in
   let pairs =
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun (_, _, prep, c) ->
+    Par.cells eng codec
+      ~key:(fun (seed, mode, _, c) ->
+        (Gen_config.mode_name mode, seed, c.Config.id, "*"))
+      ~f:(fun _ (_, _, prep, c) ->
         let off, st_off = Driver.run_prepared_stats ?fuel c ~opt:false prep in
         let on, st_on = Driver.run_prepared_stats ?fuel c ~opt:true prep in
         ((off, on), Interp.add_stats st_off st_on))
-      ~on_error:(fun e ->
-        let o = Par.crash_of_exn e in
-        ((o, o), Interp.zero_stats))
       tasks
-    |> List.map (fun ((off, on), stats) ->
-           Par.record_cell stats [ off; on ];
-           (off, on))
   in
   (* deterministic merge: per kernel, majority over all its results, then
      per-config bucket accumulation in task order *)
   List.iter
     (fun kernel_pairs ->
-      let all_results =
-        List.concat_map (fun (a, b) -> [ a; b ]) kernel_pairs
-      in
-      let majority =
-        Span.with_ ~cat:"vote" "vote" (fun () ->
-            Majority.majority_output all_results)
+      let buckets =
+        Par.vote eng (List.concat_map (fun (a, b) -> [ a; b ]) kernel_pairs)
       in
       List.iteri
-        (fun i (off, on) ->
-          List.iter
-            (fun o ->
-              tot.(i) <- tot.(i) + 1;
-              Par.record_bucket (Majority.bucket_of ~majority o);
-              match Majority.bucket_of ~majority o with
-              | Majority.B_wrong -> wrong.(i) <- wrong.(i) + 1
-              | Majority.B_bf -> bf.(i) <- bf.(i) + 1
-              | Majority.B_crash -> cr.(i) <- cr.(i) + 1
-              | Majority.B_timeout -> tmo.(i) <- tmo.(i) + 1
-              | Majority.B_ok -> ())
-            [ off; on ])
-        kernel_pairs)
+        (fun j b ->
+          let i = j / 2 in
+          tot.(i) <- tot.(i) + 1;
+          match b with
+          | Majority.B_wrong -> wrong.(i) <- wrong.(i) + 1
+          | Majority.B_bf -> bf.(i) <- bf.(i) + 1
+          | Majority.B_crash -> cr.(i) <- cr.(i) + 1
+          | Majority.B_timeout -> tmo.(i) <- tmo.(i) + 1
+          | Majority.B_ok -> ())
+        buckets)
     (Par.chunk (List.length configs) pairs);
   let reports =
     List.mapi

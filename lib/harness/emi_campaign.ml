@@ -62,6 +62,18 @@ let apply_cell r outcomes =
 
 let opt_str opt = if opt then "+" else "-"
 
+(* a cell's result is its per-variant outcome list *)
+let codec =
+  {
+    Par.outcomes = Fun.id;
+    note = (fun _ _ _ -> "");
+    decode =
+      (function
+      | { Journal.outcomes = []; _ } -> None
+      | { Journal.outcomes; _ } -> Some (outcomes, Interp.zero_stats));
+    crash = (fun o -> [ o ]);
+  }
+
 let journal_header ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000)
     ?config_ids () =
   let config_ids =
@@ -122,69 +134,18 @@ let run ?jobs ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000) ?config_ids
           configs)
       prepared_bases
   in
-  let tasks_arr = Array.of_list tasks in
-  let cell_of i outcomes =
-    let seed, _, c, opt = tasks_arr.(i) in
-    {
-      Journal.index = i;
-      seed;
-      mode = mode_name;
-      config = c.Config.id;
-      opt = opt_str opt;
-      outcomes;
-      note = "";
-    }
-  in
-  let sink =
-    Option.map (fun emit i (outcomes, _stats) -> emit (cell_of i outcomes)) sink
-  in
-  let replayed =
-    match resume with
-    | None | Some [] -> None
-    | Some cells ->
-        let tbl = Journal.index_cells cells in
-        Some
-          (fun i ->
-            let seed, _, c, opt = tasks_arr.(i) in
-            match
-              Hashtbl.find_opt tbl (mode_name, seed, c.Config.id, opt_str opt)
-            with
-            | Some { Journal.outcomes = [] ; _ } | None -> None
-            | Some { Journal.outcomes; _ } -> Some (outcomes, Interp.zero_stats))
-  in
-  (* distributed worker: placeholders for non-replayed cells outside the
-     leased shard; only sink-forwarded cells leave the worker *)
-  let lookup =
-    match exec_filter with
-    | None -> replayed
-    | Some keep ->
-        Some
-          (fun i ->
-            match Option.bind replayed (fun f -> f i) with
-            | Some r -> Some r
-            | None ->
-                if keep i then None
-                else
-                  Some
-                    ( [ Outcome.Crash "skipped: outside shard" ],
-                      Interp.zero_stats ))
-  in
+  let eng = Par.engine ?sink ?resume ?exec_filter pool in
   let cell_outcomes =
-    (* a cell's value is its variant outcome list; exceptions inside a cell
-       surface as a Crash outcome for that cell's variants *)
-    Par.run_resumable pool ?sink ?lookup
-      ~f:(fun (_, vs, c, opt) ->
+    Par.cells eng codec
+      ~key:(fun (seed, _, c, opt) -> (mode_name, seed, c.Config.id, opt_str opt))
+      ~f:(fun _ (_, vs, c, opt) ->
         List.fold_left_map
           (fun acc prep ->
             let o, st = Driver.run_prepared_stats ?fuel c ~opt prep in
             (Interp.add_stats acc st, o))
           Interp.zero_stats vs
         |> fun (stats, outcomes) -> (outcomes, stats))
-      ~on_error:(fun e -> ([ Par.crash_of_exn e ], Interp.zero_stats))
       tasks
-    |> List.map (fun (outcomes, stats) ->
-           Par.record_cell stats outcomes;
-           outcomes)
   in
   (* deterministic merge in task order *)
   let rows = Hashtbl.create 64 in

@@ -60,23 +60,21 @@ let bucket_counter =
   in
   fun b -> List.assoc b by_bucket
 
-let record_bucket b = Metrics.incr (bucket_counter b)
+(* ------------------------------------------------------------------ *)
+(* The cell engine                                                     *)
+(* ------------------------------------------------------------------ *)
 
-let crash_of_exn e =
-  Outcome.Crash ("harness: uncaught exception: " ^ Printexc.to_string e)
-
-let run_resumable pool ?sink ?(lookup = fun _ -> None) ~f ~on_error cells =
-  let tasks = Array.of_list cells in
+(* The ordered merge. [lookup i] replays task [i] (it never reaches the
+   pool); [sink] sees the merged sequence in task order: a fresh result
+   at index i is only emitted once every cell before i is available,
+   and replayed cells ride along in the same prefix flush. *)
+let run_resumable pool ?sink ~lookup ~f ~on_error tasks =
   let n = Array.length tasks in
   let results = Array.init n lookup in
   let missing =
     List.filter (fun i -> results.(i) = None) (List.init n Fun.id)
   in
   let missing_arr = Array.of_list missing in
-  (* the sink sees the merged sequence (replayed + fresh) in global task
-     order: a fresh result at global index g is only emitted once every
-     cell before g is available, and replayed cells ride along in the
-     same prefix flush *)
   let next = ref 0 in
   let flush () =
     match sink with
@@ -98,16 +96,100 @@ let run_resumable pool ?sink ?(lookup = fun _ -> None) ~f ~on_error cells =
       sink
   in
   let fresh =
-    Pool.map_isolated ?on_result pool ~f ~on_error
-      (List.map (fun i -> tasks.(i)) missing)
+    Pool.map_isolated ?on_result pool ~f:(fun i -> f i tasks.(i)) ~on_error
+      missing
   in
   List.iter2 (fun i r -> results.(i) <- Some r) missing fresh;
   flush ();
-  Array.to_list
-    (Array.map (function Some r -> r | None -> assert false) results)
+  Array.map (function Some r -> r | None -> assert false) results
 
-let run_cells pool ?sink ~f cells =
-  run_resumable pool ?sink ~f ~on_error:crash_of_exn cells
+type engine = {
+  pool : Pool.t;
+  sink : (Journal.cell -> unit) option;
+  replay : (string * int * int * string, Journal.cell) Hashtbl.t option;
+  keep : (int -> bool) option;
+  mutable next : int;  (** global index of the next batch's first cell *)
+}
+
+let engine ?sink ?resume ?exec_filter pool =
+  let replay =
+    match resume with
+    | None | Some [] -> None
+    | Some cells -> Some (Journal.index_cells cells)
+  in
+  { pool; sink; replay; keep = exec_filter; next = 0 }
+
+type ('a, 'r) codec = {
+  outcomes : 'r -> Outcome.t list;
+  note : 'a -> 'r -> Interp.stats -> string;
+  decode : Journal.cell -> ('r * Interp.stats) option;
+  crash : Outcome.t -> 'r;
+}
+
+let skipped = Outcome.Crash "skipped: outside shard"
+
+let crash_of_exn e =
+  Outcome.Crash ("harness: uncaught exception: " ^ Printexc.to_string e)
+
+let cells e codec ~key ~f tasks =
+  let tasks = Array.of_list tasks in
+  let base = e.next in
+  e.next <- base + Array.length tasks;
+  let kept i = match e.keep with None -> true | Some keep -> keep (base + i) in
+  (* a distributed worker executes only its leased shard: every other
+     non-replayed cell degrades to an instant placeholder *)
+  let lookup i =
+    let replayed =
+      Option.bind e.replay (fun tbl ->
+          Option.bind (Hashtbl.find_opt tbl (key tasks.(i))) codec.decode)
+    in
+    match replayed with
+    | None when not (kept i) -> Some (codec.crash skipped, Interp.zero_stats)
+    | r -> r
+  in
+  let sink =
+    Option.map
+      (fun emit i (r, st) ->
+        let mode, seed, config, opt = key tasks.(i) in
+        emit
+          {
+            Journal.index = base + i;
+            seed;
+            mode;
+            config;
+            opt;
+            outcomes = codec.outcomes r;
+            note = codec.note tasks.(i) r st;
+          })
+      e.sink
+  in
+  let results =
+    run_resumable e.pool ?sink ~lookup
+      ~f:(fun i t -> f (base + i) t)
+      ~on_error:(fun ex -> (codec.crash (crash_of_exn ex), Interp.zero_stats))
+      tasks
+  in
+  (* metrics fold over the merged results in task order: a replayed cell
+     counts its outcomes and the work its record carries; a filtered run
+     counts only the cells its filter keeps *)
+  List.mapi
+    (fun i (r, st) ->
+      if kept i then record_cell st (codec.outcomes r);
+      r)
+    (Array.to_list results)
+
+let vote e outcomes =
+  let majority =
+    Span.with_ ~cat:"vote" "vote" (fun () -> Majority.majority_output outcomes)
+  in
+  List.map
+    (fun o ->
+      let b = Majority.bucket_of ~majority o in
+      if Option.is_none e.keep then Metrics.incr (bucket_counter b);
+      b)
+    outcomes
+
+let tally e counter n = if Option.is_none e.keep then Metrics.add counter n
 
 let chunk size xs =
   let rec take k acc = function

@@ -25,57 +25,76 @@ val collect :
 val count : 'r list -> tag:'r -> int
 (** Occurrences of [tag] in a rejection list. *)
 
-val record_cell : Interp.stats -> Outcome.t list -> unit
-(** Fold one completed cell into the global {!Metrics} registry: cell
-    count, interpreter work totals and histogram, and one
-    ["outcomes.<tag>"] tick per outcome. Call it from the merged result
-    list (replayed cells with {!Interp.zero_stats}), never from
-    generation batches: {!collect} evaluates a pool-size-dependent set
-    of seeds, so anything counted there would break the [-j]-invariance
-    the metrics tests assert. *)
+(** {1 The cell engine}
 
-val record_bucket : Majority.bucket -> unit
-(** One ["cells.class.<name>"] tick — the campaign tables' post-vote
-    classification tallies. *)
+    Every campaign runs a grid of cells — (kernel, configuration, opt
+    level) in Table 4, (benchmark, configuration) in Table 3 — through
+    one engine, built once per run from the run's persistence hooks
+    (DESIGN.md §8). A driver hands it, per batch of cells, its tasks,
+    each task's journal key, the cell function and a {!codec}; the
+    engine does the rest:
 
-val crash_of_exn : exn -> Outcome.t
-(** The campaigns' exception-isolation policy: an uncaught harness
-    exception becomes a crash cell. *)
+    - it numbers the cells: a run's batches share one global index
+      space, counted across modes and generations, which is the journal
+      index, the causal flow id and the index [exec_filter] judges;
+    - it replays a journalled cell whose key is found in [resume] (one
+      index per run) instead of executing it;
+    - with [exec_filter], a cell the filter rejects and [resume] does
+      not replay becomes an instant placeholder, never executed;
+    - it streams every cell, replayed, placeholder and fresh alike, to
+      [sink] as a {!Journal.cell} in global task order, as soon as it
+      and all its predecessors are ready;
+    - it counts each cell into {!Metrics} ([cells.completed],
+      [interp.*], [outcomes.*]) and the cost profile, in task order —
+      in a filtered run only the cells the filter keeps, so a fabric
+      worker counts exactly its lease. *)
 
-val run_resumable :
+type engine
+
+val engine :
+  ?sink:(Journal.cell -> unit) ->
+  ?resume:Journal.cell list ->
+  ?exec_filter:(int -> bool) ->
   Pool.t ->
-  ?sink:(int -> 'b -> unit) ->
-  ?lookup:(int -> 'b option) ->
-  f:('a -> 'b) ->
-  on_error:(exn -> 'b) ->
+  engine
+(** The engine of one run over [pool]. *)
+
+type ('a, 'r) codec = {
+  outcomes : 'r -> Outcome.t list;
+      (** the result's journalled outcomes, also counted under
+          [outcomes.*] *)
+  note : 'a -> 'r -> Interp.stats -> string;
+      (** the journal note of a task's result; only built for [sink] *)
+  decode : Journal.cell -> ('r * Interp.stats) option;
+      (** a journalled cell back to its result; [None] re-executes it *)
+  crash : Outcome.t -> 'r;
+      (** the result standing for a crash outcome: an uncaught harness
+          exception, or the placeholder of a cell outside the shard *)
+}
+(** How one campaign's cell results map to and from journal records. *)
+
+val cells :
+  engine ->
+  ('a, 'r) codec ->
+  key:('a -> string * int * int * string) ->
+  f:(int -> 'a -> 'r * Interp.stats) ->
   'a list ->
-  'b list
-(** The campaigns' cell engine with persistence hooks, preserving the
-    order-preserving [-j] contract:
+  'r list
+(** Run one batch of cells and return their results in task order.
+    [key] is a task's journal key [(mode, seed, config, opt)]
+    ({!Journal.key}); [f index task] executes a cell given its global
+    index. Exception isolation as in {!Pool.map_isolated}: a non-fatal
+    exception becomes [crash] of a harness-crash outcome; fatal
+    exhaustion stops the sink stream at its index and re-raises. *)
 
-    - [lookup i] replays an already-journalled result for task [i]
-      (resume): replayed cells never hit the pool, only the remainder is
-      scheduled;
-    - [sink] receives every result — replayed and fresh alike — in
-      global task order, streamed as the ready prefix grows (a fresh
-      cell is delivered as soon as it and all predecessors are
-      available, not at batch end), so a journal written from it is
-      crash-safe and byte-identical to an uninterrupted run's.
+val vote : engine -> Outcome.t list -> Majority.bucket list
+(** Majority-vote one kernel's outcomes (under a ["vote"] span) and
+    bucket each, ticking ["cells.class.<name>"] per outcome. *)
 
-    Exception isolation as in {!Pool.map_isolated}: non-fatal exceptions
-    become [on_error e]; fatal exhaustion stops the sink stream at its
-    index and re-raises. Results are in input order. *)
-
-val run_cells :
-  Pool.t ->
-  ?sink:(int -> Outcome.t -> unit) ->
-  f:('a -> Outcome.t) ->
-  'a list ->
-  Outcome.t list
-(** [run_resumable] with the {!crash_of_exn} isolation policy and no
-    replay: a cell whose harness code raises becomes [Outcome.Crash]
-    instead of killing the campaign, while fatal exhaustion
-    ([Out_of_memory], [Stack_overflow]) is re-raised. *)
+val tally : engine -> Metrics.counter -> int -> unit
+(** Add to one of a driver's fold counters ([cells.note.*], [fuzz.*]).
+    Like {!vote}'s ticks, a no-op in a run given [exec_filter]: a
+    worker's folds read placeholders and replays, not its lease. *)
 
 val chunk : int -> 'a list -> 'a list list
 (** Split into consecutive chunks of the given size (the last may be

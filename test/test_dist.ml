@@ -5,7 +5,8 @@
    subsystem's headline property: a coordinator plus loopback workers
    collect a cell set byte-identical to the single-process run, even
    when a worker dies mid-lease after streaming garbage-ordered
-   duplicates. *)
+   duplicates. Every campaign's shard run streams its lease exactly as
+   the single-process run does and counts only the leased cells. *)
 
 let cell_str c = Jsonl.to_string (Journal.cell_to_json c)
 
@@ -564,12 +565,99 @@ let test_fabric_fleet () =
 let test_fabric_torn_worker () =
   let spec = small_spec "table4" in
   let truth = ground_truth spec in
+  (* two leases for the two clients, both granted at the handshake
+     barrier: the half client always receives one, so the death path
+     runs on every run (a client that never gets a lease fails) *)
   let cells =
-    fabric ~chunk:24 ~workers:2
+    fabric ~chunk:12 ~workers:2
       ~clients:[ half_shard_client truth; worker ]
       spec
   in
   check_cells "mid-lease death recovered byte-identically" truth cells
+
+(* --- one leased shard per campaign, run as a worker runs it --- *)
+
+let shard_spec campaign =
+  match
+    Spec.make ~campaign
+      ~n:(if campaign = "fuzz" then 6 else 1)
+      ~config_ids:[ 1; 12 ] ~variants:2 ~gen_size:2 ()
+  with
+  | Ok s -> s
+  | Error m -> Alcotest.failf "spec: %s" m
+
+let test_shard campaign () =
+  let spec = shard_spec campaign in
+  let total = Spec.total_cells spec in
+  (* the unfiltered run: every planned cell, in task order, its
+     generations where the spec says they are *)
+  let gen_kernels = ref [] in
+  let truth = ref [] in
+  let (_ : Spec.summary) =
+    Spec.run_local ~jobs:1
+      ~sink:(fun c -> truth := c :: !truth)
+      ~events:(function
+        | Eventlog.Generation { kernels; _ } ->
+            gen_kernels := kernels :: !gen_kernels
+        | _ -> ())
+      spec
+  in
+  let truth = List.rev !truth in
+  Alcotest.(check (list int))
+    "streams total_cells cells in task order" (List.init total Fun.id)
+    (List.map (fun c -> c.Journal.index) truth);
+  let ranges =
+    match campaign with
+    | "fuzz" ->
+        let cpk = Fuzz_loop.cells_per_kernel ~config_ids:[ 1; 12 ] () in
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (lo, acc) k -> (lo + (k * cpk), (lo, lo + (k * cpk)) :: acc))
+                (0, [])
+                (List.rev !gen_kernels)))
+    | _ -> [ (0, total) ]
+  in
+  Alcotest.(check (list (pair int int)))
+    "generations split at Spec.boundaries" ranges (Spec.boundaries spec);
+  (* a lease inside the middle generation (fuzz: 1 of 0..2, so the spec
+     is clamped): the synced prefix and one cell of the lease itself (a
+     worker's own journal) are replayed, the rest of the lease executes,
+     every other cell is a placeholder *)
+  let gen = (List.length ranges - 1) / 2 in
+  let glo, ghi = List.nth ranges gen in
+  let lo = glo + ((ghi - glo) / 4) and hi = ghi - ((ghi - glo) / 4) in
+  let known =
+    List.filter
+      (fun c -> c.Journal.index < glo || c.Journal.index = lo)
+      truth
+  in
+  Metrics.reset ();
+  let got = ref [] in
+  let (_ : Spec.summary) =
+    Spec.run_local ~jobs:1
+      ~sink:(fun c ->
+        if c.Journal.index >= lo && c.Journal.index < hi then got := c :: !got)
+      ~resume:known
+      ~exec_filter:(fun i -> i >= lo && i < hi)
+      (Spec.clamp spec ~gen)
+  in
+  check_cells "shard cells equal the ground truth"
+    (List.filter (fun c -> c.Journal.index >= lo && c.Journal.index < hi) truth)
+    (List.rev !got);
+  let counters = Metrics.counters () in
+  Alcotest.(check int)
+    "cells.completed counts the lease" (hi - lo)
+    (Option.value ~default:0 (List.assoc_opt "cells.completed" counters));
+  Alcotest.(check (list (pair string int)))
+    "no vote or fold counters on a worker" []
+    (List.filter
+       (fun (name, v) ->
+         v <> 0
+         && List.exists
+              (fun prefix -> String.starts_with ~prefix name)
+              [ "cells.class."; "cells.note."; "fuzz." ])
+       counters)
 
 let () =
   Alcotest.run "dist"
@@ -613,4 +701,9 @@ let () =
           Alcotest.test_case "fleet aggregation over a live run" `Slow
             test_fabric_fleet;
         ] );
+      ( "shard",
+        List.map
+          (fun campaign ->
+            Alcotest.test_case campaign `Slow (test_shard campaign))
+          Spec.campaigns );
     ]

@@ -1,8 +1,8 @@
 (* The persistence layer: the JSONL codec, the crash-safe journal (torn
    tails recovered, deeper damage rejected, resume validated against the
    header identity), the content-addressed corpus, and the subsystem's
-   headline property — a campaign resumed from any journal prefix, at any
-   -j, finishes byte-identical (table and journal file) to an
+   headline property — every campaign resumed from any journal prefix,
+   at any -j, finishes byte-identical (summary and journal file) to an
    uninterrupted run. *)
 
 let read_file path =
@@ -299,13 +299,20 @@ let test_corpus_fold () =
 
 (* --- resume determinism: the subsystem's headline property --- *)
 
-let campaign_run ~jobs ?sink ?resume () =
-  Campaign.run ~jobs ~per_mode:2 ~modes:[ Gen_config.Basic ]
-    ~config_ids:[ 1; 12; 19 ] ?sink ?resume ()
+(* one small spec per campaign over configs 1, 12 and 19; table4 runs
+   two kernels per mode, fuzz spans two generations *)
+let resume_spec campaign =
+  match
+    Spec.make ~campaign
+      ~n:(match campaign with "fuzz" -> 4 | "table4" | "table5" -> 2 | _ -> 1)
+      ~config_ids:[ 1; 12; 19 ] ~variants:2 ~gen_size:2 ()
+  with
+  | Ok s -> s
+  | Error m -> Alcotest.failf "spec: %s" m
 
-let campaign_header () =
-  Campaign.journal_header ~per_mode:2 ~config_ids:[ 1; 12; 19 ]
-    ~modes:[ Gen_config.Basic ] ()
+let summary_text = function
+  | Spec.Table text -> text
+  | Spec.Fuzz r -> Fuzz_loop.to_table r
 
 let test_corpus_fsck () =
   let dir = Filename.temp_file "store_fsck" "" in
@@ -365,54 +372,58 @@ let test_corpus_fsck () =
     (List.length (Corpus.fsck ~dir:(Filename.concat dir "no-such-subdir")))
 
 let test_resume_determinism () =
-  (* reference: one uninterrupted journalled run *)
-  let ref_path = temp ".jsonl" in
-  let w = Journal.create ~path:ref_path (campaign_header ()) in
-  let collected = ref [] in
-  let t_ref =
-    Campaign.to_table
-      (campaign_run ~jobs:2
-         ~sink:(fun c ->
-           collected := c :: !collected;
-           Journal.write_cell w c)
-         ())
-  in
-  Journal.commit w;
-  let ref_bytes = read_file ref_path in
-  let all_cells = List.rev !collected in
-  let n = List.length all_cells in
-  Alcotest.(check bool) "campaign produced cells" true (n >= 6);
-  (* resume from assorted interruption points, at several -j: the final
-     table and the rewritten journal must match the reference bytes *)
-  let prefixes = List.filter (fun k -> k <= n) [ 0; 1; 5; n - 1; n ] in
   List.iter
-    (fun k ->
+    (fun campaign ->
+      let spec = resume_spec campaign in
+      let header = Spec.header spec in
+      (* reference: one uninterrupted journalled run *)
+      let ref_path = temp ".jsonl" in
+      let w = Journal.create ~path:ref_path header in
+      let collected = ref [] in
+      let t_ref =
+        summary_text
+          (Spec.run_local ~jobs:2
+             ~sink:(fun c ->
+               collected := c :: !collected;
+               Journal.write_cell w c)
+             spec)
+      in
+      Journal.commit w;
+      let ref_bytes = read_file ref_path in
+      let all_cells = List.rev !collected in
+      let n = List.length all_cells in
+      Alcotest.(check bool) (campaign ^ " produced cells") true (n >= 6);
+      (* resume from assorted interruption points, at several -j: the
+         final summary and the rewritten journal must match the
+         reference bytes *)
+      let prefixes = [ 0; 1; n / 2; n - 1; n ] in
       List.iter
-        (fun jobs ->
-          let path = temp ".jsonl" in
-          let prefix = List.filteri (fun i _ -> i < k) all_cells in
-          write_journal path (campaign_header ()) prefix;
-          match Journal.resume ~path (campaign_header ()) with
-          | Error e -> Alcotest.fail (Journal.error_to_string e)
-          | Ok (w, replay) ->
-              Alcotest.(check int) "replayed cell count" k (List.length replay);
-              let t =
-                Campaign.to_table
-                  (campaign_run ~jobs ~sink:(Journal.write_cell w)
-                     ~resume:replay ())
-              in
-              Journal.commit w;
-              Alcotest.(check string)
-                (Printf.sprintf "table after resume from %d/%d at -j %d" k n jobs)
-                t_ref t;
-              Alcotest.(check string)
-                (Printf.sprintf "journal bytes after resume from %d/%d at -j %d"
-                   k n jobs)
-                ref_bytes (read_file path);
-              Sys.remove path)
-        [ 1; 4 ])
-    prefixes;
-  Sys.remove ref_path
+        (fun k ->
+          List.iter
+            (fun jobs ->
+              let path = temp ".jsonl" in
+              let prefix = List.filteri (fun i _ -> i < k) all_cells in
+              write_journal path header prefix;
+              match Journal.resume ~path header with
+              | Error e -> Alcotest.fail (Journal.error_to_string e)
+              | Ok (w, replay) ->
+                  Alcotest.(check int) "replayed cell count" k (List.length replay);
+                  let t =
+                    summary_text
+                      (Spec.run_local ~jobs ~sink:(Journal.write_cell w)
+                         ~resume:replay spec)
+                  in
+                  Journal.commit w;
+                  let at = Printf.sprintf "%s after resume from %d/%d at -j %d" in
+                  Alcotest.(check string) (at campaign k n jobs ^ ": summary") t_ref t;
+                  Alcotest.(check string)
+                    (at campaign k n jobs ^ ": journal bytes")
+                    ref_bytes (read_file path);
+                  Sys.remove path)
+            [ 1; 4 ])
+        prefixes;
+      Sys.remove ref_path)
+    Spec.campaigns
 
 let () =
   Alcotest.run "store"
