@@ -627,6 +627,16 @@ let micro () =
     Test.make ~name:"interp/reference-ALL"
       (Staged.stage (fun () -> ignore (Driver.reference_outcome tc)))
   in
+  (* reference-ALL = compile-ALL + run-compiled-ALL *)
+  let interp_compile_test =
+    Test.make ~name:"interp/compile-ALL"
+      (Staged.stage (fun () -> ignore (Interp.compile tc.Ast.prog)))
+  in
+  let code = Interp.compile tc.Ast.prog in
+  let interp_exec_test =
+    Test.make ~name:"interp/run-compiled-ALL"
+      (Staged.stage (fun () -> ignore (Interp.exec code tc)))
+  in
   let compile_test =
     Test.make ~name:"vendor/compile+run-ALL"
       (Staged.stage (fun () -> ignore (Driver.run (Config.find 12) ~opt:true tc)))
@@ -656,7 +666,8 @@ let micro () =
     Test.make_grouped ~name:"clsmith-repro"
       [
         gen_test Gen_config.Basic; gen_test Gen_config.Vector;
-        gen_test Gen_config.All; interp_test; compile_test; emi_test;
+        gen_test Gen_config.All; interp_test; interp_compile_test;
+        interp_exec_test; compile_test; emi_test;
         pp_test; mutate_test;
       ]
   in

@@ -90,8 +90,37 @@ let cls_of_bucket = function
   | Majority.B_crash -> Some "crash"
   | Majority.B_ok | Majority.B_timeout -> None
 
-(* one planned kernel of a generation *)
-type planned = { kidx : int; prov : provenance; tc : Ast.testcase; prep : Driver.prepared }
+(* one planned kernel of a generation. Its prepared form (with the
+   compiled programs it caches) is dropped once the kernel's last cell
+   has run, so a generation does not keep every kernel's compiled forms
+   until its fold; [left] counts the cells still to run. *)
+type planned = {
+  kidx : int;
+  prov : provenance;
+  tc : Ast.testcase;
+  features : Features.t;
+  prep : Driver.prepared option Atomic.t;
+  left : int Atomic.t;
+}
+
+let planned ~n_cells kidx prov tc =
+  let prep = Driver.prepare tc in
+  {
+    kidx;
+    prov;
+    tc;
+    features = Driver.features_of_prepared prep;
+    prep = Atomic.make (Some prep);
+    left = Atomic.make n_cells;
+  }
+
+let run_planned ?fuel k c ~opt =
+  match Atomic.get k.prep with
+  | None -> assert false (* cleared only after the kernel's last cell *)
+  | Some prep ->
+      let r = Driver.run_prepared_stats ?fuel c ~opt prep in
+      if Atomic.fetch_and_add k.left (-1) = 1 then Atomic.set k.prep None;
+      r
 
 (* a cell's result is its outcome with the interpreter tally the coverage
    fold reads; the note carries both across a resume *)
@@ -199,7 +228,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
                 end
                 else fresh_kernel ()
               in
-              { kidx; prov; tc; prep = Driver.prepare tc }))
+              planned ~n_cells:(2 * List.length configs) kidx prov tc))
     in
     let tasks =
       List.concat_map
@@ -213,7 +242,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
       Par.cells eng codec
         ~key:(fun (k, c, opt) -> ("fuzz", k.kidx, c.Config.id, opt_str opt))
         ~f:(fun _ (k, c, opt) ->
-          let ((_, st) as r) = Driver.run_prepared_stats ?fuel c ~opt k.prep in
+          let ((_, st) as r) = run_planned ?fuel k c ~opt in
           (r, st))
         tasks
     in
@@ -231,7 +260,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
         | P_gen _ -> ());
         Par.tally eng m_kernels 1;
         let buckets = Par.vote eng (List.map fst kernel_results) in
-        let features = Driver.features_of_prepared k.prep in
+        let features = k.features in
         let text = lazy (Pp.program_to_string k.tc.Ast.prog) in
         let hash = lazy (Corpus.hash_text (Lazy.force text)) in
         let kernel_bits = ref 0 in

@@ -1,6 +1,6 @@
 open Ast
 
-(* Node identity is physical: the interpreter executes the very program
+(* Node identity is physical: the compiler looks up the very program
    value [build] walked, so (==) lookups hit. Structural hashing keeps
    physically distinct but equal nodes in the same bucket, where (==)
    disambiguates. *)
@@ -18,183 +18,213 @@ module Stbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* slots [0, n_static) are the program's nodes; one synthetic slot per
+   constructor family follows, in [expr_kinds] then [stmt_kinds] order.
+   A node's path is its parent's path plus its kind, built only when
+   [constructs] needs it: a slot's parent is another slot, or [-1 - f]
+   below the root frame [frames.(f)]. *)
 type t = {
-  kinds : string array;
-  paths : string array;
-  counts : int array;
-  expr_ids : int Etbl.t;
-  stmt_ids : int Stbl.t;
-  synth : (string, int ref) Hashtbl.t;  (* runtime-synthesised nodes *)
-  mutable total : int;
+  kinds : int array;  (* index into [families] *)
+  parents : int array;
+  frames : string array;
+  n_static : int;
 }
 
-let expr_kind = function
-  | Const _ -> "const"
-  | Var _ -> "var"
-  | Thread_id _ -> "thread_id"
-  | Unop _ -> "unop"
-  | Binop _ -> "binop"
-  | Safe_binop _ -> "safe_binop"
-  | Safe_neg _ -> "safe_neg"
-  | Builtin _ -> "builtin"
-  | Call _ -> "call"
-  | Cast _ -> "cast"
-  | Cond _ -> "cond"
-  | Field _ -> "field"
-  | Arrow _ -> "arrow"
-  | Index _ -> "index"
-  | Deref _ -> "deref"
-  | Addr_of _ -> "addr_of"
-  | Vec_lit _ -> "vec_lit"
-  | Swizzle _ -> "swizzle"
-  | Atomic _ -> "atomic"
+type index = { n : int; expr_ids : int Etbl.t; stmt_ids : int Stbl.t }
 
-let stmt_kind = function
-  | Decl _ -> "decl"
-  | Assign _ -> "assign"
-  | Expr _ -> "expr_stmt"
-  | If _ -> "if"
-  | For _ -> "for"
-  | While _ -> "while"
-  | Break -> "break"
-  | Continue -> "continue"
-  | Return _ -> "return"
-  | Barrier _ -> "barrier"
-  | Block _ -> "block"
-  | Emi _ -> "emi"
+let expr_kinds =
+  [| "const"; "var"; "thread_id"; "unop"; "binop"; "safe_binop"; "safe_neg";
+     "builtin"; "call"; "cast"; "cond"; "field"; "arrow"; "index"; "deref";
+     "addr_of"; "vec_lit"; "swizzle"; "atomic" |]
 
-let build (p : program) =
-  let expr_ids = Etbl.create 512 in
-  let stmt_ids = Stbl.create 256 in
-  let nodes = ref [] in
-  let next = ref 0 in
-  let reg kind path =
-    let id = !next in
-    incr next;
-    nodes := (kind, path) :: !nodes;
-    id
-  in
-  let rec walk_expr path e =
+let stmt_kinds =
+  [| "decl"; "assign"; "expr_stmt"; "if"; "for"; "while"; "break";
+     "continue"; "return"; "barrier"; "block"; "emi" |]
+
+let expr_kind_index = function
+  | Const _ -> 0
+  | Var _ -> 1
+  | Thread_id _ -> 2
+  | Unop _ -> 3
+  | Binop _ -> 4
+  | Safe_binop _ -> 5
+  | Safe_neg _ -> 6
+  | Builtin _ -> 7
+  | Call _ -> 8
+  | Cast _ -> 9
+  | Cond _ -> 10
+  | Field _ -> 11
+  | Arrow _ -> 12
+  | Index _ -> 13
+  | Deref _ -> 14
+  | Addr_of _ -> 15
+  | Vec_lit _ -> 16
+  | Swizzle _ -> 17
+  | Atomic _ -> 18
+
+let stmt_kind_index = function
+  | Decl _ -> 0
+  | Assign _ -> 1
+  | Expr _ -> 2
+  | If _ -> 3
+  | For _ -> 4
+  | While _ -> 5
+  | Break -> 6
+  | Continue -> 7
+  | Return _ -> 8
+  | Barrier _ -> 9
+  | Block _ -> 10
+  | Emi _ -> 11
+
+(* every family's name, by [kinds] index: expression families first *)
+let families = Array.append expr_kinds stmt_kinds
+let n_expr_kinds = Array.length expr_kinds
+
+(* One deterministic preorder walk numbering each distinct node; [reg
+   kind parent] is told each one and returns its slot. Returns the
+   identity tables. *)
+let walk (p : program) ~bound reg =
+  let expr_ids = Etbl.create (bound / 2) in
+  let stmt_ids = Stbl.create 64 in
+  let rec walk_expr parent e =
     if not (Etbl.mem expr_ids e) then begin
-      let kind = expr_kind e in
-      let pth = path ^ ";" ^ kind in
-      Etbl.add expr_ids e (reg kind pth);
+      let id = reg (expr_kind_index e) parent in
+      Etbl.add expr_ids e id;
       match e with
       | Const _ | Var _ | Thread_id _ -> ()
       | Unop (_, a) | Safe_neg a | Cast (_, a) | Deref a | Addr_of a
       | Field (a, _) | Arrow (a, _) | Swizzle (a, _) ->
-          walk_expr pth a
+          walk_expr id a
       | Binop (_, a, b) | Safe_binop (_, a, b) | Index (a, b) ->
-          walk_expr pth a;
-          walk_expr pth b
+          walk_expr id a;
+          walk_expr id b
       | Cond (a, b, c) ->
-          walk_expr pth a;
-          walk_expr pth b;
-          walk_expr pth c
+          walk_expr id a;
+          walk_expr id b;
+          walk_expr id c
       | Builtin (_, args) | Call (_, args) | Vec_lit (_, _, args) ->
-          List.iter (walk_expr pth) args
+          List.iter (walk_expr id) args
       | Atomic (_, ptr, args) ->
-          walk_expr pth ptr;
-          List.iter (walk_expr pth) args
+          walk_expr id ptr;
+          List.iter (walk_expr id) args
     end
   in
-  let rec walk_init path = function
-    | I_expr e -> walk_expr path e
-    | I_list is -> List.iter (walk_init path) is
+  let rec walk_init parent = function
+    | I_expr e -> walk_expr parent e
+    | I_list is -> List.iter (walk_init parent) is
   in
-  let rec walk_stmt path s =
+  let rec walk_stmt parent s =
     if not (Stbl.mem stmt_ids s) then begin
-      let kind = stmt_kind s in
-      let pth = path ^ ";" ^ kind in
-      Stbl.add stmt_ids s (reg kind pth);
+      let id = reg (n_expr_kinds + stmt_kind_index s) parent in
+      Stbl.add stmt_ids s id;
       match s with
-      | Decl { dinit = Some i; _ } -> walk_init pth i
+      | Decl { dinit = Some i; _ } -> walk_init id i
       | Decl { dinit = None; _ } | Break | Continue | Return None | Barrier _
         ->
           ()
       | Assign (l, _, r) ->
-          walk_expr pth l;
-          walk_expr pth r
-      | Expr e | Return (Some e) -> walk_expr pth e
+          walk_expr id l;
+          walk_expr id r
+      | Expr e | Return (Some e) -> walk_expr id e
       | If (c, b1, b2) ->
-          walk_expr pth c;
-          List.iter (walk_stmt pth) b1;
-          List.iter (walk_stmt pth) b2
+          walk_expr id c;
+          List.iter (walk_stmt id) b1;
+          List.iter (walk_stmt id) b2
       | For { f_init; f_cond; f_update; f_body } ->
-          Option.iter (walk_stmt pth) f_init;
-          Option.iter (walk_expr pth) f_cond;
-          Option.iter (walk_stmt pth) f_update;
-          List.iter (walk_stmt pth) f_body
+          Option.iter (walk_stmt id) f_init;
+          Option.iter (walk_expr id) f_cond;
+          Option.iter (walk_stmt id) f_update;
+          List.iter (walk_stmt id) f_body
       | While (c, b) ->
-          walk_expr pth c;
-          List.iter (walk_stmt pth) b
-      | Block b -> List.iter (walk_stmt pth) b
-      | Emi { emi_body; _ } -> List.iter (walk_stmt pth) emi_body
+          walk_expr id c;
+          List.iter (walk_stmt id) b
+      | Block b -> List.iter (walk_stmt id) b
+      | Emi { emi_body; _ } -> List.iter (walk_stmt id) emi_body
     end
   in
-  List.iter
-    (fun (f : func) -> List.iter (walk_stmt ("fn:" ^ f.fname)) f.body)
-    p.funcs;
-  List.iter (walk_stmt ("kernel:" ^ p.kernel.fname)) p.kernel.body;
-  let n = !next in
-  let kinds = Array.make n "" and paths = Array.make n "" in
   List.iteri
-    (fun i (kind, path) ->
-      let id = n - 1 - i in
-      kinds.(id) <- kind;
-      paths.(id) <- path)
-    !nodes;
+    (fun i (f : func) -> List.iter (walk_stmt (-1 - i)) f.body)
+    (p.funcs @ [ p.kernel ]);
+  (expr_ids, stmt_ids)
+
+let counter () =
+  let next = ref 0 in
+  ( next,
+    fun _ _ ->
+      let id = !next in
+      incr next;
+      id )
+
+let index (p : program) =
+  let next, reg = counter () in
+  let expr_ids, stmt_ids = walk p ~bound:(expr_count p) reg in
+  { n = !next; expr_ids; stmt_ids }
+
+let build (p : program) =
+  (* an upper bound on the slots, so nothing is resized *)
+  let bound = expr_count p + stmt_count p in
+  let kinds = Array.make bound 0 and parents = Array.make bound 0 in
+  let next, count = counter () in
+  let reg kind parent =
+    let id = count kind parent in
+    kinds.(id) <- kind;
+    parents.(id) <- parent;
+    id
+  in
+  ignore (walk p ~bound reg);
+  let n = !next in
+  let frames =
+    Array.of_list
+      (List.map (fun (f : func) -> "fn:" ^ f.fname) p.funcs
+      @ [ "kernel:" ^ p.kernel.fname ])
+  in
   {
-    kinds;
-    paths;
-    counts = Array.make n 0;
-    expr_ids;
-    stmt_ids;
-    synth = Hashtbl.create 4;
-    total = 0;
+    kinds = Array.init (n + Array.length families) (fun i -> if i < n then kinds.(i) else i - n);
+    parents;
+    frames;
+    n_static = n;
   }
 
-let bump t id =
-  t.counts.(id) <- t.counts.(id) + 1;
-  t.total <- t.total + 1
+let size ix = ix.n + Array.length families
 
-let synthetic t kind =
-  (match Hashtbl.find_opt t.synth kind with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.synth kind (ref 1));
-  t.total <- t.total + 1
+let expr_slot ix e =
+  match Etbl.find_opt ix.expr_ids e with
+  | Some id -> id
+  | None -> ix.n + expr_kind_index e
 
-let tick_expr t e =
-  match Etbl.find_opt t.expr_ids e with
-  | Some id -> bump t id
-  | None -> synthetic t (expr_kind e)
+let stmt_slot ix s =
+  match Stbl.find_opt ix.stmt_ids s with
+  | Some id -> id
+  | None -> ix.n + n_expr_kinds + stmt_kind_index s
 
-let tick_stmt t s =
-  match Stbl.find_opt t.stmt_ids s with
-  | Some id -> bump t id
-  | None -> synthetic t (stmt_kind s)
+let ticks counts = Array.fold_left ( + ) 0 counts
 
-let ticks t = t.total
-
-let constructs t =
-  let named = ref [] in
-  for id = Array.length t.counts - 1 downto 0 do
-    if t.counts.(id) > 0 then
-      named :=
-        {
-          Costprof.kind = t.kinds.(id);
-          loc = id;
-          path = t.paths.(id);
-          n = t.counts.(id);
-        }
-        :: !named
-  done;
-  let synth =
-    Hashtbl.fold
-      (fun kind r acc ->
-        { Costprof.kind; loc = -1; path = "<synthetic>;" ^ kind; n = !r } :: acc)
-      t.synth []
+let constructs t counts =
+  let paths = Hashtbl.create 64 in
+  let rec path slot =
+    if slot < 0 then t.frames.(-1 - slot)
+    else
+      match Hashtbl.find_opt paths slot with
+      | Some p -> p
+      | None ->
+          let p = path t.parents.(slot) ^ ";" ^ families.(t.kinds.(slot)) in
+          Hashtbl.add paths slot p;
+          p
   in
+  let acc = ref [] in
+  for slot = Array.length counts - 1 downto 0 do
+    if counts.(slot) > 0 then
+      acc :=
+        {
+          Costprof.kind = families.(t.kinds.(slot));
+          loc = (if slot < t.n_static then slot else -1);
+          path =
+            (if slot < t.n_static then path slot
+             else "<synthetic>;" ^ families.(t.kinds.(slot)));
+          n = counts.(slot);
+        }
+        :: !acc
+  done;
   List.sort
     (fun (a : Costprof.construct) b -> compare (a.loc, a.kind) (b.loc, b.kind))
-    (synth @ !named)
+    !acc

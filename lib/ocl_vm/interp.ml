@@ -40,7 +40,12 @@ let add_stats a b =
     prof = a.prof @ b.prof;
   }
 
-type run_result = { outcome : Outcome.t; races : Race.race list; stats : stats }
+type run_result = {
+  outcome : Outcome.t;
+  races : Race.race list;
+  stats : stats;
+  ticks : int array;
+}
 
 exception Rt_crash of string
 exception Fuel_exhausted
@@ -62,33 +67,42 @@ type tally = {
 type launch = {
   cfg : config;
   ctx : R.alloc_ctx;
-  prog : program;
   nd : Ndrange.t;
-  buffers : (string * R.cell) list;
+  free : R.cell option array;  (* the compiled form's free names, resolved *)
+  params : R.cell option array;  (* the kernel parameters' buffers *)
   race : Race.t;
-  tally : tally;
-  costs : Costwalk.t option;  (* cost-profiler tick table, None when off *)
 }
 
 type group_state = {
   g : int;
-  shared_decls : (string, R.cell) Hashtbl.t;
+  shared : R.cell option array;  (* local-space decls, by name *)
   mutable epoch_local : int;
   mutable epoch_global : int;
 }
 
+(* one activation's variables, by slot *)
+type frame = R.cell array
+
 type thread_state = {
   th : Ndrange.thread;
+  t_lin : int;
+  l_lin : int;
   l : launch;
   grp : group_state;
+  tally : tally;
+  profiling : bool;
+  counts : int array;  (* cost-profile ticks, one per slot when profiling *)
   mutable fuel : int;
   mutable loop_iters : int list;
   mutable call_depth : int;
   mutable lost_writes : bool;  (* Pwb_callee_barrier armed *)
   mutable barrier_seen : bool; (* Pwb_after_barrier armed *)
+  mutable via_ptr : bool;  (* the last lvalue was reached through a pointer *)
+  mutable fr : frame;  (* the running function's *)
 }
 
-type barrier_info = { site : stmt; iters : int list; fence : Op.fence }
+(* a barrier site is the number of its statement occurrence *)
+type barrier_info = { site : int; iters : int list; fence : Op.fence }
 
 type _ Effect.t += Br : barrier_info -> unit Effect.t
 
@@ -96,40 +110,80 @@ type thread_status =
   | Done
   | At_barrier of barrier_info * (unit, thread_status) Effect.Deep.continuation
 
-(* environment: innermost binding first *)
-type env = (string * R.cell) list
-
 type flow = F_normal | F_break | F_continue | F_return of R.value option
 
+(* Compiled nodes. A node's cost tick (and a statement's fuel charge) is
+   made by whoever runs it, just before running it: leaves then carry no
+   slot of their own and are shared between nodes. *)
+type cexpr = thread_state -> R.value
+
+(* sets [via_ptr] before returning *)
+type clval = thread_state -> R.lvalue
+
+type cstmt = thread_state -> flow
+
+type cinit = CI_expr of int * cexpr | CI_list of cinit array
+
+(* [cf_slots] and [cf_body] are set once while compiling: a call is
+   compiled before its callee's body, which may call back *)
+type cfunc = {
+  cf_ret : Ty.t;
+  cf_params : Ty.t array;
+  mutable cf_slots : int;
+  mutable cf_body : cstmt;
+}
+
+type compiled = {
+  source : program;
+  kernel : cfunc;
+  free_names : string array;
+  n_locals : int;
+  n_ticks : int;  (* cost-profile slots *)
+}
+
 let spend ts n =
-  ts.l.tally.t_steps <- ts.l.tally.t_steps + n;
+  ts.tally.t_steps <- ts.tally.t_steps + n;
   ts.fuel <- ts.fuel - n;
   if ts.fuel <= 0 then raise Fuel_exhausted
+
+let tick ts slot =
+  if ts.profiling then
+    Array.unsafe_set ts.counts slot (Array.unsafe_get ts.counts slot + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Race recording                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let record ts ~loc ~space kind ~atomic =
+  match space with
+  | Ty.Local | Ty.Global ->
+      ts.tally.t_race_checks <- ts.tally.t_race_checks + 1;
+      let epoch =
+        match space with
+        | Ty.Local -> ts.grp.epoch_local
+        | _ -> ts.grp.epoch_global
+      in
+      Race.record ts.l.race ~loc ~thread:ts.t_lin ~group:ts.grp.g ~kind ~atomic
+        ~epoch ~space
+  | Ty.Private | Ty.Constant -> ()
+
 let record_access ts lv kind ~atomic =
-  if ts.l.cfg.detect_races then begin
-    let space = R.lvalue_space lv in
-    match space with
-    | Ty.Local | Ty.Global ->
-        ts.l.tally.t_race_checks <- ts.l.tally.t_race_checks + 1;
-        let epoch =
-          match space with
-          | Ty.Local -> ts.grp.epoch_local
-          | _ -> ts.grp.epoch_global
-        in
-        Race.record ts.l.race ~loc:(R.base_loc lv)
-          ~thread:(Ndrange.t_linear ts.l.nd ts.th)
-          ~group:ts.grp.g ~kind ~atomic ~epoch ~space
-    | Ty.Private | Ty.Constant -> ()
-  end
+  if ts.l.cfg.detect_races then
+    record ts ~loc:(R.base_loc lv) ~space:(R.lvalue_space lv) kind ~atomic
 
 let read_lv ts lv =
   record_access ts lv Race.Read ~atomic:false;
   R.read ts.l.ctx lv
+
+(* [read_lv] of a whole cell, without building the lvalue for leaves *)
+let read_cell ts (c : R.cell) =
+  if ts.l.cfg.detect_races then
+    record ts ~loc:c.R.loc ~space:c.R.space Race.Read ~atomic:false;
+  match c.R.content with
+  | R.C_scalar s -> R.V_scalar s
+  | R.C_vector v -> R.V_vector v
+  | R.C_ptr p -> R.V_ptr p
+  | R.C_struct _ | R.C_union _ | R.C_array _ -> R.read ts.l.ctx (R.L_cell c)
 
 let write_lv ts lv v =
   record_access ts lv Race.Write ~atomic:false;
@@ -276,265 +330,138 @@ let lift_builtin b (args : R.value list) : R.value =
     let rty = (comps.(0)).Scalar.ty in
     R.V_vector (Vecval.make rty comps)
 
+let zero_of ctx (t : Ty.t) : R.value =
+  match t with
+  | Ty.Void -> R.V_scalar (Scalar.zero Ty.int_scalar)
+  | Ty.Scalar s -> R.V_scalar (Scalar.zero s)
+  | Ty.Vector (s, l) -> R.V_vector (Vecval.splat s l (Scalar.zero s))
+  | Ty.Ptr _ -> R.V_ptr None
+  | t -> R.V_agg (R.alloc ctx Ty.Private t)
+
 (* ------------------------------------------------------------------ *)
-(* Expression evaluation                                               *)
+(* Run-time pieces the compiled closures share                         *)
 (* ------------------------------------------------------------------ *)
 
-let rec eval ts (env : env) (e : expr) : R.value =
-  (match ts.l.costs with
-  | None -> ()
-  | Some cw -> (
-      (* lvalue-shaped reads delegate to eval_lvalue on the same node,
-         which ticks it there — skip here to avoid double counting *)
-      match e with
-      | Field _ | Arrow _ | Index _ | Deref _ -> ()
-      | _ -> Costwalk.tick_expr cw e));
-  match e with
-  | Const c -> R.V_scalar (Scalar.make c.cty c.value)
-  | Var v -> read_lv ts (lvalue_of_var ts env v)
-  | Thread_id k ->
-      let ty =
-        match k with
-        | Op.Global_linear_id | Op.Local_linear_id | Op.Group_linear_id
-        | Op.Local_linear_size | Op.Global_linear_size ->
-            { Ty.width = Ty.W32; sign = Ty.Unsigned }
-        | _ -> { Ty.width = Ty.W64; sign = Ty.Unsigned }
-      in
-      R.V_scalar (Scalar.make ty (Ndrange.id_value ts.l.nd ts.th k))
-  | Unop (op, a) -> lift_unop op (eval ts env a)
-  | Binop (Op.LogAnd, a, b) -> (
-      match eval ts env a with
-      | R.V_scalar s when Scalar.is_zero s ->
-          R.V_scalar (Scalar.zero Ty.int_scalar)
-      | R.V_scalar _ ->
-          R.V_scalar
-            (if truth (eval ts env b) then Scalar.one Ty.int_scalar
-             else Scalar.zero Ty.int_scalar)
-      | va -> lift_binop ~safe:false Op.LogAnd va (eval ts env b))
-  | Binop (Op.LogOr, a, b) -> (
-      match eval ts env a with
-      | R.V_scalar s when Scalar.is_true s ->
-          R.V_scalar (Scalar.one Ty.int_scalar)
-      | R.V_scalar _ ->
-          R.V_scalar
-            (if truth (eval ts env b) then Scalar.one Ty.int_scalar
-             else Scalar.zero Ty.int_scalar)
-      | va -> lift_binop ~safe:false Op.LogOr va (eval ts env b))
-  | Binop (Op.Comma, a, b) -> (
-      let va = eval ts env a in
-      let vb = eval ts env b in
-      match ts.l.cfg.profile.Profile.comma with
-      | Profile.Comma_second -> vb
-      | Profile.Comma_first -> va)
-  | Binop (op, a, b) when Op.is_comparison op ->
-      let v = lift_binop ~safe:false op (eval ts env a) (eval ts env b) in
-      if
-        ts.l.cfg.profile.Profile.group_id_cmp_invert
-        && (mentions_group_id a || mentions_group_id b)
-      then lift_unop Op.LogNot v
-      else v
-  | Binop (op, a, b) -> lift_binop ~safe:false op (eval ts env a) (eval ts env b)
-  | Safe_binop (op, a, b) ->
-      lift_binop ~safe:true op (eval ts env a) (eval ts env b)
-  | Safe_neg a -> (
-      match eval ts env a with
-      | R.V_scalar s -> R.V_scalar (Scalar.safe_neg s)
-      | R.V_vector v -> R.V_vector (Vecval.map Scalar.safe_neg v)
-      | _ -> raise (Rt_crash "safe_unary_minus on non-integer"))
-  | Builtin (b, args) -> lift_builtin b (List.map (eval ts env) args)
-  | Call (f, args) -> eval_call ts env f args
-  | Cast (t, a) -> (
-      let v = eval ts env a in
-      match (t, v) with
-      | Ty.Scalar s, R.V_scalar x -> R.V_scalar (Scalar.convert s x)
-      | Ty.Vector (s, _), R.V_vector x -> R.V_vector (Vecval.convert s x)
-      | Ty.Vector (s, l), R.V_scalar x ->
-          R.V_vector (Vecval.splat s l (Scalar.convert s x))
-      | Ty.Ptr _, (R.V_ptr _ as p) -> p
-      | _ -> raise (Rt_crash "invalid cast"))
-  | Cond (c, a, b) ->
-      if truth (eval ts env c) then eval ts env a else eval ts env b
-  | Swizzle (a, idxs) -> (
-      match eval ts env a with
-      | R.V_vector vv -> (
-          match idxs with
-          | [ i ] -> R.V_scalar (Vecval.get vv i)
-          | _ -> (
-              match Vecval.swizzle vv idxs with
-              | Some w -> R.V_vector w
-              | None -> raise (Rt_crash "invalid swizzle")))
-      | _ -> raise (Rt_crash "swizzle of non-vector value"))
-  | Field _ | Arrow _ | Index _ | Deref _ ->
-      let lv, _ = eval_lvalue ts env e in
-      read_lv ts lv
-  | Addr_of a -> (
-      let lv, _ = eval_lvalue ts env a in
-      match lv with
-      | R.L_cell c -> R.V_ptr (Some { R.target = c; pspace = c.R.space })
-      | R.L_bytes _ | R.L_comp _ ->
-          raise (Rt_crash "address of union member or vector component"))
-  | Vec_lit (s, l, args) ->
-      let comps =
-        List.concat_map
-          (fun a ->
-            match eval ts env a with
-            | R.V_scalar x -> [ Scalar.convert s x ]
-            | R.V_vector v ->
-                Array.to_list (Array.map (Scalar.convert s) (Vecval.components v))
-            | _ -> raise (Rt_crash "vector literal component"))
-          args
-      in
-      if List.length comps <> Ty.vlen_to_int l then
-        raise (Rt_crash "vector literal arity");
-      R.V_vector (Vecval.make s (Array.of_list comps))
-  | Atomic (aop, p, args) -> eval_atomic ts env aop p args
+let free_cell ts k name =
+  match Array.unsafe_get ts.l.free k with
+  | Some c -> c
+  | None -> raise (Rt_crash ("unbound variable " ^ name))
 
-and lvalue_of_var ts env v : R.lvalue =
-  match List.assoc_opt v env with
-  | Some c -> R.L_cell c
-  | None -> (
-      match List.assoc_opt v ts.l.buffers with
-      | Some c -> R.L_cell c
-      | None -> raise (Rt_crash ("unbound variable " ^ v)))
+(* [cands] pairs each struct holding field [f] with the field's index;
+   -1 when struct [n] is not among them *)
+let rec member n = function
+  | [] -> -1
+  | (m, i) :: rest -> if String.equal n m then i else member n rest
 
-(* returns (lvalue, reached-through-a-pointer) *)
-and eval_lvalue ts env (e : expr) : R.lvalue * bool =
-  (match ts.l.costs with
-  | None -> ()
-  | Some cw -> Costwalk.tick_expr cw e);
-  match e with
-  | Var v -> (lvalue_of_var ts env v, false)
-  | Field (a, f) ->
-      let lv, vp = eval_lvalue ts env a in
-      (R.cell_field ts.l.ctx lv f, vp)
-  | Arrow (a, f) ->
-      let p = as_pointer "->" (eval ts env a) in
-      (R.cell_field ts.l.ctx (R.L_cell p.R.target) f, true)
-  | Deref a -> (
-      let p = as_pointer "*" (eval ts env a) in
-      match p.R.target.R.content with
-      | R.C_array _ -> (
-          match R.cell_index ts.l.ctx (R.L_cell p.R.target) 0 with
-          | Ok lv -> (lv, true)
-          | Error m -> raise (Rt_crash m))
-      | _ -> (R.L_cell p.R.target, true))
-  | Index (a, i) -> (
-      let idx = as_int "index" (eval ts env i) in
-      let base, vp =
-        match a with
-        | Var _ | Field (_, _) | Index (_, _) | Arrow (_, _) | Deref _ ->
-            eval_lvalue ts env a
-        | _ ->
-            let p = as_pointer "[]" (eval ts env a) in
-            (R.L_cell p.R.target, true)
-      in
-      match base with
-      | R.L_cell { R.content = R.C_ptr _; _ } ->
-          (* pointer variable: a[i] = *(a + i) *)
-          let p = as_pointer "[]" (read_lv ts base) in
-          let arr = R.L_cell p.R.target in
-          (match R.cell_index ts.l.ctx arr idx with
-          | Ok lv -> (lv, true)
-          | Error m -> raise (Rt_crash m))
-      | _ -> (
-          match R.cell_index ts.l.ctx base idx with
-          | Ok lv -> (lv, vp)
-          | Error m -> raise (Rt_crash m)))
-  | Swizzle (a, [ i ]) -> (
-      let lv, vp = eval_lvalue ts env a in
-      match lv with
-      | R.L_cell c -> (R.L_comp (c, i), vp)
-      | _ -> raise (Rt_crash "swizzle lvalue through union"))
-  | _ -> raise (Rt_crash ("not an lvalue: " ^ Pp.expr_to_string e))
+let field_lv ts cands f (lv : R.lvalue) =
+  match lv with
+  | R.L_cell { R.content = R.C_struct (n, fs); _ } ->
+      let i = member n cands in
+      if i >= 0 then R.L_cell fs.(i) else R.cell_field ts.l.ctx lv f
+  | _ -> R.cell_field ts.l.ctx lv f
 
-and eval_call ts env f args : R.value =
-  let fn =
-    match List.find_opt (fun (fn : func) -> String.equal fn.fname f) ts.l.prog.funcs with
-    | Some fn -> fn
-    | None -> raise (Rt_crash ("call to unknown function " ^ f))
-  in
+(* the [field_lv] read, without building the lvalue for struct members *)
+let field_read ts cands f (lv : R.lvalue) =
+  match lv with
+  | R.L_cell { R.content = R.C_struct (n, fs); _ } ->
+      let i = member n cands in
+      if i >= 0 then read_cell ts fs.(i) else read_lv ts (R.cell_field ts.l.ctx lv f)
+  | _ -> read_lv ts (R.cell_field ts.l.ctx lv f)
+
+let index_lv ts (base : R.lvalue) i =
+  match base with
+  | R.L_cell { R.content = R.C_array (_, es); _ }
+    when i >= 0 && i < Array.length es ->
+      R.L_cell es.(i)
+  | _ -> (
+      match R.cell_index ts.l.ctx base i with
+      | Ok lv -> lv
+      | Error m -> raise (Rt_crash m))
+
+let deref_lv ts v =
+  let p = as_pointer "*" v in
+  match p.R.target.R.content with
+  | R.C_array _ -> index_lv ts (R.L_cell p.R.target) 0
+  | _ -> R.L_cell p.R.target
+
+let write_is_lost ts ~via_ptr =
+  via_ptr
+  &&
+  match ts.l.cfg.profile.Profile.pointer_write_bug with
+  | Profile.Pwb_none -> false
+  | Profile.Pwb_callee_barrier _ -> ts.lost_writes && ts.call_depth > 0
+  | Profile.Pwb_after_barrier -> ts.barrier_seen && ts.call_depth > 0
+
+let bump_iter ts =
+  match ts.loop_iters with
+  | n :: rest -> ts.loop_iters <- (n + 1) :: rest
+  | [] -> ()
+
+let exec_barrier ts site fence =
+  ts.tally.t_barriers <- ts.tally.t_barriers + 1;
+  (match ts.l.cfg.profile.Profile.pointer_write_bug with
+  | Profile.Pwb_callee_barrier { crash } when ts.call_depth > 0 ->
+      if crash then raise (Rt_crash "segmentation fault (barrier in callee)");
+      if ts.l_lin > 0 then ts.lost_writes <- true
+  | Profile.Pwb_after_barrier -> ts.barrier_seen <- true
+  | _ -> ());
+  Effect.perform (Br { site; iters = ts.loop_iters; fence })
+
+(* a placeholder for frame slots not yet bound; never read, because a
+   variable's slot is written by its declaration before any use *)
+let dummy_cell =
+  R.alloc (R.alloc_ctx ~tyenv:(Ty.tyenv_of_list []) ~layout:Layout.standard ())
+    Ty.Private Ty.int
+
+(* arguments, left to right *)
+let run_args ts ids (args : cexpr array) =
+  Array.init (Array.length args) (fun i ->
+      tick ts (Array.unsafe_get ids i);
+      (Array.unsafe_get args i) ts)
+
+(* a statement costs one step and one tick before it runs *)
+let run_stmt ts id (c : cstmt) =
   spend ts 1;
-  let vargs = List.map (eval ts env) args in
-  let callee_env =
-    List.map2
-      (fun (pname, pty) v ->
-        let c = R.alloc ts.l.ctx Ty.Private pty in
-        R.write ts.l.ctx (R.L_cell c) v;
-        (pname, c))
-      fn.params vargs
-  in
-  ts.call_depth <- ts.call_depth + 1;
-  let saved_lost = ts.lost_writes in
-  let flow = exec_block ts callee_env fn.body in
-  ts.call_depth <- ts.call_depth - 1;
-  (* the Fig. 2(c) write-loss flag is scoped to the invocation that executed
-     the barrier *)
-  if ts.call_depth = 0 then ts.lost_writes <- saved_lost;
-  match flow with
-  | F_return (Some v) -> v
-  | F_return None | F_normal ->
-      (* missing return in non-void functions: zero value *)
-      (match fn.ret with
-      | Ty.Void -> R.V_scalar (Scalar.zero Ty.int_scalar)
-      | Ty.Scalar s -> R.V_scalar (Scalar.zero s)
-      | Ty.Vector (s, l) -> R.V_vector (Vecval.splat s l (Scalar.zero s))
-      | Ty.Ptr _ -> R.V_ptr None
-      | t -> R.V_agg (R.alloc ts.l.ctx Ty.Private t))
-  | F_break | F_continue -> raise (Rt_crash "break/continue escaped function")
+  tick ts id;
+  c ts
 
-and eval_atomic ts env aop p args : R.value =
-  let ptr = as_pointer "atomic" (eval ts env p) in
-  let cell = ptr.R.target in
-  let lv = R.L_cell cell in
-  ts.l.tally.t_atomics <- ts.l.tally.t_atomics + 1;
-  record_access ts lv Race.Write ~atomic:true;
-  let old = as_scalar "atomic" (R.read ts.l.ctx lv) in
-  let ty = old.Scalar.ty in
-  let operand i = Scalar.convert ty (as_scalar "atomic" (eval ts env (List.nth args i))) in
-  let newv =
-    match aop with
-    | Op.A_inc -> Scalar.binop Op.Add old (Scalar.one ty)
-    | Op.A_dec -> Scalar.binop Op.Sub old (Scalar.one ty)
-    | Op.A_add -> Scalar.binop Op.Add old (operand 0)
-    | Op.A_sub -> Scalar.binop Op.Sub old (operand 0)
-    | Op.A_min -> Scalar.min_v old (operand 0)
-    | Op.A_max -> Scalar.max_v old (operand 0)
-    | Op.A_and -> Scalar.binop Op.BitAnd old (operand 0)
-    | Op.A_or -> Scalar.binop Op.BitOr old (operand 0)
-    | Op.A_xor -> Scalar.binop Op.BitXor old (operand 0)
-    | Op.A_xchg -> operand 0
-    | Op.A_cmpxchg ->
-        if Scalar.equal old (operand 0) then operand 1 else old
-  in
-  R.write ts.l.ctx lv (R.V_scalar (Scalar.convert ty newv));
-  R.V_scalar old
+let rec run_from ids (ss : cstmt array) ts i =
+  if i = Array.length ss then F_normal
+  else
+    match run_stmt ts (Array.unsafe_get ids i) (Array.unsafe_get ss i) with
+    | F_normal -> run_from ids ss ts (i + 1)
+    | f -> f
+
+let run_block ids ss ts = run_from ids ss ts 0
 
 (* ------------------------------------------------------------------ *)
 (* Initialisers (with the struct/union quirks)                         *)
 (* ------------------------------------------------------------------ *)
 
-and init_cell ts env (c : R.cell) (i : init) =
+let rec init_cell ts (c : R.cell) (i : cinit) =
   let ctx = ts.l.ctx in
   let profile = ts.l.cfg.profile in
   match (c.R.content, i) with
-  | _, I_expr e -> write_lv ts (R.L_cell c) (eval ts env e)
-  | R.C_struct (n, fields), I_list is ->
+  | _, CI_expr (id, e) ->
+      tick ts id;
+      write_lv ts (R.L_cell c) (e ts)
+  | R.C_struct (n, fields), CI_list is ->
       let agg = Ty.find_aggregate (R.tyenv_of ctx) n in
       let char_first = Layout.struct_is_char_first (R.tyenv_of ctx) agg in
-      List.iteri
+      Array.iteri
         (fun k ik ->
           if k < Array.length fields then
             if
               profile.Profile.struct_init_char_first_zero && char_first && k > 0
             then () (* Fig. 1(a): later fields read as zero *)
-            else init_cell ts env fields.(k) ik)
+            else init_cell ts fields.(k) ik)
         is
-  | R.C_union (n, bytes), I_list [ i0 ] -> (
+  | R.C_union (n, bytes), CI_list [| i0 |] -> (
       let agg = Ty.find_aggregate (R.tyenv_of ctx) n in
       match profile.Profile.union_init with
       | Profile.Ui_correct -> (
           match agg.fields with
-          | f0 :: _ -> init_cell_via_bytes ts env c 0 f0.Ty.fty i0
+          | f0 :: _ -> init_cell_via_bytes ts c 0 f0.Ty.fty i0
           | [] -> ())
       | Profile.Ui_struct_leaf_garbage -> (
           (* Fig. 2(a): garbage-fill, then route the initialiser to the
@@ -551,7 +478,7 @@ and init_cell ts env (c : R.cell) (i : init) =
           match struct_field with
           | None -> (
               match agg.fields with
-              | f0 :: _ -> init_cell_via_bytes ts env c 0 f0.Ty.fty i0
+              | f0 :: _ -> init_cell_via_bytes ts c 0 f0.Ty.fty i0
               | [] -> ())
           | Some f -> (
               Bytes_repr.fill bytes 0 (Bytes.length bytes) '\xff';
@@ -563,229 +490,741 @@ and init_cell ts env (c : R.cell) (i : init) =
                 | t -> t
               in
               let rec scalar_init = function
-                | I_expr e -> Some e
-                | I_list (x :: _) -> scalar_init x
-                | I_list [] -> None
+                | CI_expr _ as e -> Some e
+                | CI_list [||] -> None
+                | CI_list xs -> scalar_init xs.(0)
               in
               match scalar_init i0 with
-              | Some e ->
-                  init_cell_via_bytes ts env c 0 leaf_ty (I_expr e)
+              | Some e -> init_cell_via_bytes ts c 0 leaf_ty e
               | None -> ())))
-  | R.C_union (_, _), I_list _ ->
+  | R.C_union (_, _), CI_list _ ->
       raise (Rt_crash "union initialiser must have one element")
-  | R.C_array (_, cells), I_list is ->
-      List.iteri
-        (fun k ik -> if k < Array.length cells then init_cell ts env cells.(k) ik)
+  | R.C_array (_, cells), CI_list is ->
+      Array.iteri
+        (fun k ik -> if k < Array.length cells then init_cell ts cells.(k) ik)
         is
-  | R.C_vector old, I_list is ->
+  | R.C_vector old, CI_list is ->
       let elem = Vecval.elem_ty old in
       let comps =
-        List.map
+        Array.map
           (fun ik ->
             match ik with
-            | I_expr e -> Scalar.convert elem (as_scalar "vector init" (eval ts env e))
-            | I_list _ -> raise (Rt_crash "nested vector initialiser"))
+            | CI_expr (id, e) ->
+                tick ts id;
+                Scalar.convert elem (as_scalar "vector init" (e ts))
+            | CI_list _ -> raise (Rt_crash "nested vector initialiser"))
           is
       in
-      write_lv ts (R.L_cell c) (R.V_vector (Vecval.make elem (Array.of_list comps)))
-  | _, I_list _ -> raise (Rt_crash "brace initialiser for non-aggregate")
+      write_lv ts (R.L_cell c) (R.V_vector (Vecval.make elem comps))
+  | _, CI_list _ -> raise (Rt_crash "brace initialiser for non-aggregate")
 
-and init_cell_via_bytes ts env c off ty i =
+and init_cell_via_bytes ts c off ty i =
   (* initialise a union member: build the value then write it through the
      byte window *)
   match i with
-  | I_expr e -> write_lv ts (R.L_bytes (c, off, ty)) (eval ts env e)
-  | I_list _ ->
+  | CI_expr (id, e) ->
+      tick ts id;
+      write_lv ts (R.L_bytes (c, off, ty)) (e ts)
+  | CI_list _ ->
       let tmp = R.alloc ts.l.ctx Ty.Private ty in
-      init_cell ts env tmp i;
+      init_cell ts tmp i;
       write_lv ts (R.L_bytes (c, off, ty)) (R.read ts.l.ctx (R.L_cell tmp))
 
 (* ------------------------------------------------------------------ *)
-(* Statements                                                          *)
+(* Compilation                                                         *)
+(*                                                                     *)
+(* Every node becomes a closure with its names resolved: variables to  *)
+(* frame slots (or, bound nowhere in scope, to the launch's buffers),  *)
+(* fields to member indices, calls to the compiled callee, constants   *)
+(* to prebuilt values. Each node's cost slot is baked into the closure *)
+(* that runs it. The closures keep the tree-walker's evaluation order, *)
+(* fuel charges and tick points exactly: binary operators evaluate     *)
+(* their right operand first.                                          *)
 (* ------------------------------------------------------------------ *)
 
-and exec_block ts env stmts : flow =
-  let rec go env = function
-    | [] -> F_normal
-    | s :: rest -> (
-        match exec_stmt ts env s with
-        | `Env env' -> go env' rest
-        | `Flow F_normal -> go env rest
-        | `Flow f -> f)
-  in
-  go env stmts
+(* program-wide compile state; read-only once [compile] returns *)
+type cenv = {
+  index : Costwalk.index;
+  funcs : (string * cfunc) list;  (* declaration order: first match wins *)
+  aggs : Ty.aggregate list;  (* as the run-time type environment resolves them *)
+  free_ids : (string, int) Hashtbl.t;
+  locals : (string, int) Hashtbl.t;
+  fields : (string, (string * int) list) Hashtbl.t;  (* by field name *)
+  consts : (const, cexpr) Hashtbl.t;  (* shared leaves: equal constants, *)
+  readers : (int, cexpr) Hashtbl.t;  (* slot reads, *)
+  places : (int, clval) Hashtbl.t;  (* slot lvalues, *)
+  free_readers : (int, cexpr) Hashtbl.t;  (* and free-name reads *)
+  mutable n_barriers : int;
+}
 
-and exec_stmt ts env (s : stmt) : [ `Env of env | `Flow of flow ] =
-  spend ts 1;
-  (match ts.l.costs with
-  | None -> ()
-  | Some cw -> Costwalk.tick_stmt cw s);
-  match s with
-  | Decl d ->
-      let cell =
-        match d.dspace with
-        | Ty.Local -> (
-            (* one allocation per group, shared by its threads *)
-            match Hashtbl.find_opt ts.grp.shared_decls d.dname with
-            | Some c -> c
-            | None ->
-                let c = R.alloc ts.l.ctx Ty.Local d.dty in
-                Hashtbl.add ts.grp.shared_decls d.dname c;
-                c)
-        | sp ->
-            let c = R.alloc ts.l.ctx sp d.dty in
-            (match d.dinit with Some i -> init_cell ts env c i | None -> ());
-            c
-      in
-      `Env ((d.dname, cell) :: env)
-  | Assign (lhs, aop, rhs) ->
-      let lv, via_ptr = eval_lvalue ts env lhs in
-      let v =
-        match aop with
-        | A_simple -> eval ts env rhs
-        | A_op op ->
-            let old = read_lv ts lv in
-            lift_binop ~safe:false op old (eval ts env rhs)
-      in
-      if write_is_lost ts ~via_ptr then `Flow F_normal
-      else begin
-        write_lv ts lv v;
-        `Flow F_normal
-      end
-  | Expr e ->
-      let (_ : R.value) = eval ts env e in
-      `Flow F_normal
-  | If (c, b1, b2) ->
-      let branch = if truth (eval ts env c) then b1 else b2 in
-      `Flow (exec_block ts env branch)
-  | For f -> `Flow (exec_for ts env f)
-  | While (c, body) ->
-      ts.loop_iters <- 0 :: ts.loop_iters;
-      let rec loop () =
+(* one function's scope: innermost binding first, like the tree-walker's
+   environment. [next] is the first free frame slot: a block's slots are
+   free again after it, so a frame holds the deepest nesting of live
+   declarations, [high]. *)
+type scope = { vars : (string * int) list; next : int ref; high : int ref }
+
+type var_ref = Slot of int | Free of int
+
+let shared tbl key make =
+  match Hashtbl.find_opt tbl key with
+  | Some c -> c
+  | None ->
+      let c = make () in
+      Hashtbl.add tbl key c;
+      c
+
+(* a dense number per distinct key *)
+let intern tbl key = shared tbl key (fun () -> Hashtbl.length tbl)
+
+let resolve cx sc v =
+  match List.assoc_opt v sc.vars with
+  | Some i -> Slot i
+  | None -> Free (intern cx.free_ids v)
+
+let bind sc name =
+  let i = !(sc.next) in
+  incr sc.next;
+  sc.high := max !(sc.high) !(sc.next);
+  ({ sc with vars = (name, i) :: sc.vars }, i)
+
+(* compile [f] with the slots it binds freed afterwards *)
+let scoped sc f =
+  let mark = !(sc.next) in
+  let r = f () in
+  sc.next := mark;
+  r
+
+(* the structs holding field [f], each with the field's index *)
+let field_cands cx f =
+  shared cx.fields f (fun () ->
+      List.filter_map
+        (fun (a : Ty.aggregate) ->
+          if a.is_union then None
+          else
+            let rec find i = function
+              | [] -> None
+              | (fd : Ty.field) :: rest ->
+                  if String.equal fd.fname f then Some (a.aname, i)
+                  else find (i + 1) rest
+            in
+            find 0 a.fields)
+        cx.aggs)
+
+let is_lvalue_shaped = function
+  | Var _ | Field (_, _) | Index (_, _) | Arrow (_, _) | Deref _ -> true
+  | _ -> false
+
+let thread_id_ty = function
+  | Op.Global_linear_id | Op.Local_linear_id | Op.Group_linear_id
+  | Op.Local_linear_size | Op.Global_linear_size ->
+      { Ty.width = Ty.W32; sign = Ty.Unsigned }
+  | _ -> { Ty.width = Ty.W64; sign = Ty.Unsigned }
+
+(* a child and its cost slot, for the parent to tick before running it *)
+let rec sub cx sc e = (Costwalk.expr_slot cx.index e, cexpr cx sc e)
+and lsub cx sc e = (Costwalk.expr_slot cx.index e, clval cx sc e)
+
+and cexpr cx sc (e : expr) : cexpr =
+  match e with
+  | Const c ->
+      shared cx.consts c (fun () ->
+          let v = R.V_scalar (Scalar.make c.cty c.value) in
+          fun _ -> v)
+  | Var v -> (
+      match resolve cx sc v with
+      | Slot i ->
+          shared cx.readers i (fun () -> fun ts ->
+              read_cell ts (Array.unsafe_get ts.fr i))
+      | Free k ->
+          shared cx.free_readers k (fun () -> fun ts ->
+              read_cell ts (free_cell ts k v)))
+  (* lvalue-shaped reads: the node's one tick covers its lvalue *)
+  | Field (a, f) ->
+      let ia, a = lsub cx sc a and cands = field_cands cx f in
+      fun ts ->
+        tick ts ia;
+        field_read ts cands f (a ts)
+  | Deref a ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        read_lv ts (deref_lv ts (a ts))
+  | Arrow _ | Index _ ->
+      let lv = clval cx sc e in
+      fun ts -> read_lv ts (lv ts)
+  | Thread_id k ->
+      let ty = thread_id_ty k in
+      fun ts -> R.V_scalar (Scalar.make ty (Ndrange.id_value ts.l.nd ts.th k))
+  | Unop (op, a) ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        lift_unop op (a ts)
+  | Binop (Op.LogAnd, a, b) ->
+      let ia, a = sub cx sc a and ib, b = sub cx sc b in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.V_scalar s when Scalar.is_zero s -> R.V_scalar (Scalar.zero Ty.int_scalar)
+        | R.V_scalar _ ->
+            tick ts ib;
+            R.V_scalar
+              (if truth (b ts) then Scalar.one Ty.int_scalar
+               else Scalar.zero Ty.int_scalar)
+        | va ->
+            tick ts ib;
+            lift_binop ~safe:false Op.LogAnd va (b ts))
+  | Binop (Op.LogOr, a, b) ->
+      let ia, a = sub cx sc a and ib, b = sub cx sc b in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.V_scalar s when Scalar.is_true s -> R.V_scalar (Scalar.one Ty.int_scalar)
+        | R.V_scalar _ ->
+            tick ts ib;
+            R.V_scalar
+              (if truth (b ts) then Scalar.one Ty.int_scalar
+               else Scalar.zero Ty.int_scalar)
+        | va ->
+            tick ts ib;
+            lift_binop ~safe:false Op.LogOr va (b ts))
+  | Binop (Op.Comma, a, b) ->
+      let ia, a = sub cx sc a and ib, b = sub cx sc b in
+      fun ts ->
+        tick ts ia;
+        let va = a ts in
+        tick ts ib;
+        let vb = b ts in
+        (match ts.l.cfg.profile.Profile.comma with
+        | Profile.Comma_second -> vb
+        | Profile.Comma_first -> va)
+  | Binop (op, a, b) when Op.is_comparison op && (mentions_group_id a || mentions_group_id b) ->
+      let bin = cbinop cx sc ~safe:false op a b in
+      fun ts ->
+        let v = bin ts in
+        if ts.l.cfg.profile.Profile.group_id_cmp_invert then lift_unop Op.LogNot v
+        else v
+  | Binop (op, a, b) -> cbinop cx sc ~safe:false op a b
+  | Safe_binop (op, a, b) -> cbinop cx sc ~safe:true op a b
+  | Safe_neg a ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.V_scalar s -> R.V_scalar (Scalar.safe_neg s)
+        | R.V_vector v -> R.V_vector (Vecval.map Scalar.safe_neg v)
+        | _ -> raise (Rt_crash "safe_unary_minus on non-integer"))
+  | Builtin (b, args) ->
+      let ids, args = subs cx sc args in
+      fun ts -> lift_builtin b (Array.to_list (run_args ts ids args))
+  | Call (f, args) -> ccall cx sc f args
+  | Cast (t, a) ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match (t, a ts) with
+        | Ty.Scalar s, R.V_scalar x -> R.V_scalar (Scalar.convert s x)
+        | Ty.Vector (s, _), R.V_vector x -> R.V_vector (Vecval.convert s x)
+        | Ty.Vector (s, l), R.V_scalar x ->
+            R.V_vector (Vecval.splat s l (Scalar.convert s x))
+        | Ty.Ptr _, (R.V_ptr _ as p) -> p
+        | _ -> raise (Rt_crash "invalid cast"))
+  | Cond (c, a, b) ->
+      let ic, c = sub cx sc c and ia, a = sub cx sc a and ib, b = sub cx sc b in
+      fun ts ->
+        tick ts ic;
+        if truth (c ts) then (
+          tick ts ia;
+          a ts)
+        else (
+          tick ts ib;
+          b ts)
+  | Swizzle (a, idxs) ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.V_vector vv -> (
+            match idxs with
+            | [ i ] -> R.V_scalar (Vecval.get vv i)
+            | _ -> (
+                match Vecval.swizzle vv idxs with
+                | Some w -> R.V_vector w
+                | None -> raise (Rt_crash "invalid swizzle")))
+        | _ -> raise (Rt_crash "swizzle of non-vector value"))
+  | Addr_of a ->
+      let ia, a = lsub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.L_cell c -> R.V_ptr (Some { R.target = c; pspace = c.R.space })
+        | R.L_bytes _ | R.L_comp _ ->
+            raise (Rt_crash "address of union member or vector component"))
+  | Vec_lit (s, l, args) ->
+      let args = List.map (sub cx sc) args in
+      fun ts ->
+        let comps =
+          List.concat_map
+            (fun (ia, a) ->
+              tick ts ia;
+              match a ts with
+              | R.V_scalar x -> [ Scalar.convert s x ]
+              | R.V_vector v ->
+                  Array.to_list (Array.map (Scalar.convert s) (Vecval.components v))
+              | _ -> raise (Rt_crash "vector literal component"))
+            args
+        in
+        if List.length comps <> Ty.vlen_to_int l then
+          raise (Rt_crash "vector literal arity");
+        R.V_vector (Vecval.make s (Array.of_list comps))
+  | Atomic (aop, p, args) -> catomic cx sc aop p args
+
+and subs cx sc args =
+  let args = List.map (sub cx sc) args in
+  (Array.of_list (List.map fst args), Array.of_list (List.map snd args))
+
+and cbinop cx sc ~safe op a b : cexpr =
+  let ia, a = sub cx sc a and ib, b = sub cx sc b in
+  if safe then fun ts ->
+    tick ts ib;
+    let vb = b ts in
+    tick ts ia;
+    let va = a ts in
+    match (va, vb) with
+    | R.V_scalar x, R.V_scalar y -> R.V_scalar (Scalar.safe_binop op x y)
+    | _ -> lift_binop ~safe:true op va vb
+  else fun ts ->
+    tick ts ib;
+    let vb = b ts in
+    tick ts ia;
+    let va = a ts in
+    match (va, vb) with
+    | R.V_scalar x, R.V_scalar y -> R.V_scalar (Scalar.binop op x y)
+    | _ -> lift_binop ~safe:false op va vb
+
+and ccall cx sc f args : cexpr =
+  match List.assoc_opt f cx.funcs with
+  | None -> fun _ -> raise (Rt_crash ("call to unknown function " ^ f))
+  | Some fn ->
+      let ids, args = subs cx sc args in
+      let arity_ok = Array.length args = Array.length fn.cf_params in
+      fun ts ->
         spend ts 1;
-        if truth (eval ts env c) then (
-          let fl = exec_block ts env body in
-          bump_iter ts;
-          match fl with
-          | F_normal | F_continue -> loop ()
-          | F_break -> F_normal
-          | F_return _ as r -> r)
-        else F_normal
+        let vargs = run_args ts ids args in
+        let callee = Array.make fn.cf_slots dummy_cell in
+        (* parameters bind pairwise, like List.map2, failing at the first
+           unmatched one *)
+        let n = min (Array.length vargs) (Array.length fn.cf_params) in
+        for i = 0 to n - 1 do
+          let c = R.alloc ts.l.ctx Ty.Private fn.cf_params.(i) in
+          R.write ts.l.ctx (R.L_cell c) vargs.(i);
+          callee.(i) <- c
+        done;
+        if not arity_ok then invalid_arg "List.map2";
+        ts.call_depth <- ts.call_depth + 1;
+        let saved_lost = ts.lost_writes in
+        let caller = ts.fr in
+        ts.fr <- callee;
+        let flow = fn.cf_body ts in
+        ts.fr <- caller;
+        ts.call_depth <- ts.call_depth - 1;
+        (* the Fig. 2(c) write-loss flag is scoped to the invocation that
+           executed the barrier *)
+        if ts.call_depth = 0 then ts.lost_writes <- saved_lost;
+        match flow with
+        | F_return (Some v) -> v
+        | F_return None | F_normal ->
+            (* missing return in non-void functions: zero value *)
+            zero_of ts.l.ctx fn.cf_ret
+        | F_break | F_continue -> raise (Rt_crash "break/continue escaped function")
+
+and catomic cx sc aop p args : cexpr =
+  let ip, p = sub cx sc p and ids, args = subs cx sc args in
+  fun ts ->
+    tick ts ip;
+    let ptr = as_pointer "atomic" (p ts) in
+    let cell = ptr.R.target in
+    let lv = R.L_cell cell in
+    ts.tally.t_atomics <- ts.tally.t_atomics + 1;
+    record_access ts lv Race.Write ~atomic:true;
+    let old = as_scalar "atomic" (R.read ts.l.ctx lv) in
+    let ty = old.Scalar.ty in
+    let operand i =
+      if i >= Array.length args then failwith "nth";
+      tick ts ids.(i);
+      Scalar.convert ty (as_scalar "atomic" (args.(i) ts))
+    in
+    let newv =
+      match aop with
+      | Op.A_inc -> Scalar.binop Op.Add old (Scalar.one ty)
+      | Op.A_dec -> Scalar.binop Op.Sub old (Scalar.one ty)
+      | Op.A_add -> Scalar.binop Op.Add old (operand 0)
+      | Op.A_sub -> Scalar.binop Op.Sub old (operand 0)
+      | Op.A_min -> Scalar.min_v old (operand 0)
+      | Op.A_max -> Scalar.max_v old (operand 0)
+      | Op.A_and -> Scalar.binop Op.BitAnd old (operand 0)
+      | Op.A_or -> Scalar.binop Op.BitOr old (operand 0)
+      | Op.A_xor -> Scalar.binop Op.BitXor old (operand 0)
+      | Op.A_xchg -> operand 0
+      | Op.A_cmpxchg -> if Scalar.equal old (operand 0) then operand 1 else old
+    in
+    R.write ts.l.ctx lv (R.V_scalar (Scalar.convert ty newv));
+    R.V_scalar old
+
+and clval cx sc (e : expr) : clval =
+  match e with
+  | Var v -> (
+      match resolve cx sc v with
+      | Slot i ->
+          shared cx.places i (fun () -> fun ts ->
+              ts.via_ptr <- false;
+              R.L_cell (Array.unsafe_get ts.fr i))
+      | Free k ->
+          fun ts ->
+            let c = free_cell ts k v in
+            ts.via_ptr <- false;
+            R.L_cell c)
+  | Field (a, f) ->
+      let ia, a = lsub cx sc a and cands = field_cands cx f in
+      fun ts ->
+        tick ts ia;
+        field_lv ts cands f (a ts)
+  | Arrow (a, f) ->
+      let ia, a = sub cx sc a and cands = field_cands cx f in
+      fun ts ->
+        tick ts ia;
+        let p = as_pointer "->" (a ts) in
+        let lv = field_lv ts cands f (R.L_cell p.R.target) in
+        ts.via_ptr <- true;
+        lv
+  | Deref a ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        let lv = deref_lv ts (a ts) in
+        ts.via_ptr <- true;
+        lv
+  | Index (a, i) ->
+      let ii, i = sub cx sc i in
+      let base : clval =
+        if is_lvalue_shaped a then
+          let ia, a = lsub cx sc a in
+          fun ts ->
+            tick ts ia;
+            a ts
+        else
+          let ia, a = sub cx sc a in
+          fun ts ->
+            tick ts ia;
+            let p = as_pointer "[]" (a ts) in
+            ts.via_ptr <- true;
+            R.L_cell p.R.target
       in
-      let fl = loop () in
-      ts.loop_iters <- List.tl ts.loop_iters;
-      `Flow fl
-  | Break -> `Flow F_break
-  | Continue -> `Flow F_continue
-  | Return None -> `Flow (F_return None)
-  | Return (Some e) -> `Flow (F_return (Some (eval ts env e)))
+      fun ts ->
+        tick ts ii;
+        let idx = as_int "index" (i ts) in
+        (match base ts with
+        | R.L_cell { R.content = R.C_ptr _; _ } as ptr ->
+            (* pointer variable: a[i] = *(a + i) *)
+            let p = as_pointer "[]" (read_lv ts ptr) in
+            let lv = index_lv ts (R.L_cell p.R.target) idx in
+            ts.via_ptr <- true;
+            lv
+        | b -> index_lv ts b idx)
+  | Swizzle (a, [ i ]) ->
+      let ia, a = lsub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.L_cell c -> R.L_comp (c, i)
+        | _ -> raise (Rt_crash "swizzle lvalue through union"))
+  | _ -> fun _ -> raise (Rt_crash ("not an lvalue: " ^ Pp.expr_to_string e))
+
+and cinit cx sc = function
+  | I_expr e ->
+      let id, e = sub cx sc e in
+      CI_expr (id, e)
+  | I_list is -> CI_list (Array.of_list (List.map (cinit cx sc) is))
+
+(* a statement, and the scope the statements after it see *)
+and cstmt cx sc (s : stmt) : cstmt * scope =
+  let same c = (c, sc) in
+  match s with
+  | Decl d -> (
+      match d.dspace with
+      | Ty.Local ->
+          (* one allocation per group, shared by its threads *)
+          let k = intern cx.locals d.dname in
+          let sc', slot = bind sc d.dname in
+          ( (fun ts ->
+              let c =
+                match ts.grp.shared.(k) with
+                | Some c -> c
+                | None ->
+                    let c = R.alloc ts.l.ctx Ty.Local d.dty in
+                    ts.grp.shared.(k) <- Some c;
+                    c
+              in
+              ts.fr.(slot) <- c;
+              F_normal),
+            sc' )
+      | sp ->
+          let init = Option.map (cinit cx sc) d.dinit in
+          let sc', slot = bind sc d.dname in
+          ( (fun ts ->
+              let c = R.alloc ts.l.ctx sp d.dty in
+              (match init with Some i -> init_cell ts c i | None -> ());
+              ts.fr.(slot) <- c;
+              F_normal),
+            sc' ))
+  | Assign (lhs, A_simple, rhs) ->
+      let il, l = lsub cx sc lhs and ir, r = sub cx sc rhs in
+      same (fun ts ->
+          tick ts il;
+          let lv = l ts in
+          let via_ptr = ts.via_ptr in
+          tick ts ir;
+          let v = r ts in
+          if not (write_is_lost ts ~via_ptr) then write_lv ts lv v;
+          F_normal)
+  | Assign (lhs, A_op op, rhs) ->
+      let il, l = lsub cx sc lhs and ir, r = sub cx sc rhs in
+      same (fun ts ->
+          tick ts il;
+          let lv = l ts in
+          let via_ptr = ts.via_ptr in
+          let old = read_lv ts lv in
+          tick ts ir;
+          let v = lift_binop ~safe:false op old (r ts) in
+          if not (write_is_lost ts ~via_ptr) then write_lv ts lv v;
+          F_normal)
+  | Expr e ->
+      let ie, e = sub cx sc e in
+      same (fun ts ->
+          tick ts ie;
+          ignore (e ts : R.value);
+          F_normal)
+  | If (c, b1, b2) ->
+      let ic, c = sub cx sc c and b1 = cblock cx sc b1 and b2 = cblock cx sc b2 in
+      same (fun ts ->
+          tick ts ic;
+          if truth (c ts) then b1 ts else b2 ts)
+  | For f -> same (scoped sc (fun () -> cfor cx sc f))
+  | While (c, body) ->
+      let ic, c = sub cx sc c and body = cblock cx sc body in
+      same (fun ts ->
+          ts.loop_iters <- 0 :: ts.loop_iters;
+          let rec loop () =
+            spend ts 1;
+            tick ts ic;
+            if truth (c ts) then (
+              let fl = body ts in
+              bump_iter ts;
+              match fl with
+              | F_normal | F_continue -> loop ()
+              | F_break -> F_normal
+              | F_return _ as r -> r)
+            else F_normal
+          in
+          let fl = loop () in
+          ts.loop_iters <- List.tl ts.loop_iters;
+          fl)
+  | Break -> same (fun _ -> F_break)
+  | Continue -> same (fun _ -> F_continue)
+  | Return None -> same (fun _ -> F_return None)
+  | Return (Some e) ->
+      let ie, e = sub cx sc e in
+      same (fun ts ->
+          tick ts ie;
+          F_return (Some (e ts)))
   | Barrier fence ->
-      exec_barrier ts s fence;
-      `Flow F_normal
-  | Block b -> `Flow (exec_block ts env b)
+      let site = cx.n_barriers in
+      cx.n_barriers <- site + 1;
+      same (fun ts ->
+          exec_barrier ts site fence;
+          F_normal)
+  | Block b -> same (cblock cx sc b)
   | Emi { emi_lo; emi_hi; emi_body; _ } ->
       (* if (dead[hi] < dead[lo]) { body } — false under the standard host
-         initialisation dead[j] = j, true when the host inverts dead *)
+         initialisation dead[j] = j, true when the host inverts dead; the
+         guard reads are synthesised nodes, ticked in synthetic slots *)
       let rd i =
-        as_scalar "dead" (eval ts env (Index (Var "dead", const_of_int i)))
+        let id, e = sub cx sc (Index (Var "dead", const_of_int i)) in
+        fun ts ->
+          tick ts id;
+          as_scalar "dead" (e ts)
       in
-      let guard = Scalar.is_true (Scalar.binop Op.Lt (rd emi_hi) (rd emi_lo)) in
-      if guard then `Flow (exec_block ts env emi_body) else `Flow F_normal
+      let lo = rd emi_lo and hi = rd emi_hi and body = cblock cx sc emi_body in
+      same (fun ts ->
+          let vlo = lo ts in
+          let vhi = hi ts in
+          if Scalar.is_true (Scalar.binop Op.Lt vhi vlo) then body ts
+          else F_normal)
 
-and write_is_lost ts ~via_ptr =
-  via_ptr
-  &&
-  match ts.l.cfg.profile.Profile.pointer_write_bug with
-  | Profile.Pwb_none -> false
-  | Profile.Pwb_callee_barrier _ -> ts.lost_writes && ts.call_depth > 0
-  | Profile.Pwb_after_barrier -> ts.barrier_seen && ts.call_depth > 0
-
-and bump_iter ts =
-  match ts.loop_iters with
-  | n :: rest -> ts.loop_iters <- (n + 1) :: rest
-  | [] -> ()
-
-and exec_for ts env (f : for_loop) : flow =
-  let lb = ts.l.cfg.profile.Profile.loop_barrier in
-  let body_has_barrier =
-    (lb <> Profile.Lb_ok) && block_contains_barrier f.f_body
+(* runs its statements, each charged and ticked *)
+and cblock cx sc (b : block) : cstmt =
+  let rec go sc = function
+    | [] -> []
+    | s :: rest ->
+        let c, sc' = cstmt cx sc s in
+        (Costwalk.stmt_slot cx.index s, c) :: go sc' rest
   in
-  if body_has_barrier && lb = Profile.Lb_crash then
-    raise (Rt_crash "segmentation fault (barrier inside loop)");
-  let lose_init =
-    body_has_barrier
-    && lb = Profile.Lb_lose_init
-    && Ndrange.l_linear ts.l.nd ts.th > 0
-  in
+  match scoped sc (fun () -> go sc b) with
+  | [] -> fun _ -> F_normal
+  | [ (id, s) ] -> fun ts -> run_stmt ts id s
+  | ss ->
+      let ids = Array.of_list (List.map fst ss) and ss = Array.of_list (List.map snd ss) in
+      run_block ids ss
+
+and cfor cx sc (f : for_loop) : cstmt =
+  let has_barrier = block_contains_barrier f.f_body in
   (* Fig. 2(d): the loop initialiser's store participates in condition
      evaluation but is never committed — model: run it, then restore the
      overwritten value once the loop completes. *)
-  let restore = ref None in
-  let env =
+  let init, sc =
     match f.f_init with
-    | None -> env
-    | Some (Assign (lhs, _, _) as s) when lose_init ->
-        let lv, _ = eval_lvalue ts env lhs in
-        let old = R.read ts.l.ctx lv in
-        restore := Some (lv, old);
-        (match exec_stmt ts env s with `Env e -> e | `Flow _ -> env)
-    | Some s -> (
-        match exec_stmt ts env s with `Env e -> e | `Flow _ -> env)
+    | None -> (None, sc)
+    | Some s ->
+        let lost_lhs =
+          match s with
+          | Assign (lhs, _, _) when has_barrier -> Some (lsub cx sc lhs)
+          | _ -> None
+        in
+        let c, sc' = cstmt cx sc s in
+        (Some (Costwalk.stmt_slot cx.index s, c, lost_lhs), sc')
   in
-  ts.loop_iters <- 0 :: ts.loop_iters;
-  let rec loop () =
-    spend ts 1;
-    let continue_loop =
-      match f.f_cond with None -> true | Some c -> truth (eval ts env c)
+  let cond = Option.map (sub cx sc) f.f_cond in
+  let update =
+    Option.map (fun s -> (Costwalk.stmt_slot cx.index s, fst (cstmt cx sc s))) f.f_update
+  in
+  let body = cblock cx sc f.f_body in
+  fun ts ->
+    let lb = ts.l.cfg.profile.Profile.loop_barrier in
+    let body_has_barrier = lb <> Profile.Lb_ok && has_barrier in
+    if body_has_barrier && lb = Profile.Lb_crash then
+      raise (Rt_crash "segmentation fault (barrier inside loop)");
+    let lose_init = body_has_barrier && lb = Profile.Lb_lose_init && ts.l_lin > 0 in
+    let restore =
+      match init with
+      | None -> None
+      | Some (id, s, Some (il, lhs)) when lose_init ->
+          tick ts il;
+          let lv = lhs ts in
+          let old = R.read ts.l.ctx lv in
+          ignore (run_stmt ts id s : flow);
+          Some (lv, old)
+      | Some (id, s, _) ->
+          ignore (run_stmt ts id s : flow);
+          None
     in
-    if not continue_loop then F_normal
-    else
-      let fl = exec_block ts env f.f_body in
-      bump_iter ts;
-      match fl with
-      | F_normal | F_continue ->
-          (match f.f_update with
-          | None -> ()
-          | Some s -> ignore (exec_stmt ts env s));
-          loop ()
-      | F_break -> F_normal
-      | F_return _ as r -> r
-  in
-  let fl = loop () in
-  ts.loop_iters <- List.tl ts.loop_iters;
-  (match !restore with
-  | Some (lv, old) -> R.write ts.l.ctx lv old
-  | None -> ());
-  fl
+    ts.loop_iters <- 0 :: ts.loop_iters;
+    let rec loop () =
+      spend ts 1;
+      let continue_loop =
+        match cond with
+        | None -> true
+        | Some (ic, c) ->
+            tick ts ic;
+            truth (c ts)
+      in
+      if not continue_loop then F_normal
+      else
+        let fl = body ts in
+        bump_iter ts;
+        match fl with
+        | F_normal | F_continue ->
+            (match update with
+            | None -> ()
+            | Some (id, s) -> ignore (run_stmt ts id s : flow));
+            loop ()
+        | F_break -> F_normal
+        | F_return _ as r -> r
+    in
+    let fl = loop () in
+    ts.loop_iters <- List.tl ts.loop_iters;
+    (match restore with Some (lv, old) -> R.write ts.l.ctx lv old | None -> ());
+    fl
 
-and exec_barrier ts site fence =
-  ts.l.tally.t_barriers <- ts.l.tally.t_barriers + 1;
-  (match ts.l.cfg.profile.Profile.pointer_write_bug with
-  | Profile.Pwb_callee_barrier { crash } when ts.call_depth > 0 ->
-      if crash then raise (Rt_crash "segmentation fault (barrier in callee)");
-      if Ndrange.l_linear ts.l.nd ts.th > 0 then ts.lost_writes <- true
-  | Profile.Pwb_after_barrier -> ts.barrier_seen <- true
-  | _ -> ());
-  Effect.perform (Br { site; iters = ts.loop_iters; fence })
+
+let cfunc_shell (fn : func) =
+  {
+    cf_ret = fn.ret;
+    cf_params = Array.of_list (List.map snd fn.params);
+    cf_slots = 0;
+    cf_body = (fun _ -> F_normal);
+  }
+
+(* parameters take the first slots; the first of two equal names wins,
+   like the tree-walker's association list *)
+let compile_body cx (fn : func) (cf : cfunc) =
+  let n = List.length fn.params in
+  let sc =
+    { vars = List.mapi (fun i (p, _) -> (p, i)) fn.params; next = ref n; high = ref n }
+  in
+  let body = cblock cx sc fn.body in
+  cf.cf_body <- body;
+  cf.cf_slots <- !(sc.high)
+
+let compile (p : program) : compiled =
+  let tyenv = tyenv_of_program p in
+  let aggs =
+    List.filter_map
+      (fun (a : Ty.aggregate) ->
+        match Ty.find_aggregate_opt tyenv a.aname with
+        | Some a' when a' == a -> Some a
+        | _ -> None)
+      p.aggregates
+  in
+  let funcs = List.map (fun (fn : func) -> (fn.fname, cfunc_shell fn)) p.funcs in
+  let index = Costwalk.index p in
+  let cx =
+    {
+      index;
+      funcs;
+      aggs;
+      free_ids = Hashtbl.create 8;
+      locals = Hashtbl.create 4;
+      fields = Hashtbl.create 16;
+      consts = Hashtbl.create 64;
+      readers = Hashtbl.create 32;
+      places = Hashtbl.create 32;
+      free_readers = Hashtbl.create 8;
+      n_barriers = 0;
+    }
+  in
+  List.iter2 (fun (fn : func) (_, cf) -> compile_body cx fn cf) p.funcs funcs;
+  let kernel = cfunc_shell p.kernel in
+  compile_body cx p.kernel kernel;
+  let free_names = Array.make (Hashtbl.length cx.free_ids) "" in
+  Hashtbl.iter (fun name k -> free_names.(k) <- name) cx.free_ids;
+  {
+    source = p;
+    kernel;
+    free_names;
+    n_locals = Hashtbl.length cx.locals;
+    n_ticks = Costwalk.size index;
+  }
+
+let constructs (c : compiled) counts =
+  Costwalk.constructs (Costwalk.build c.source) counts
 
 (* ------------------------------------------------------------------ *)
 (* Group execution                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let same_rendezvous (a : barrier_info) (b : barrier_info) =
-  a.site == b.site && a.iters = b.iters
+  a.site = b.site && a.iters = b.iters
 
-let run_thread_body ts env : unit =
-  let flow = exec_block ts env ts.l.prog.kernel.body in
-  match flow with
+let run_thread_body (code : compiled) ts : unit =
+  match code.kernel.cf_body ts with
   | F_normal | F_return None -> ()
   | F_return (Some _) -> ()
   | F_break | F_continue -> raise (Rt_crash "break/continue escaped kernel")
 
-let start_thread ts env : thread_status =
+let start_thread code ts : thread_status =
   Effect.Deep.match_with
     (fun () ->
-      run_thread_body ts env;
+      run_thread_body code ts;
       Done)
     ()
     {
@@ -801,42 +1240,53 @@ let start_thread ts env : thread_status =
           | _ -> None);
     }
 
-let run_group (l : launch) g =
+(* kernel parameters are pointers to the launch buffers *)
+let kernel_frame (code : compiled) (l : launch) : frame =
+  let fr = Array.make code.kernel.cf_slots dummy_cell in
+  List.iteri
+    (fun i (pname, pty) ->
+      match l.params.(i) with
+      | Some buf ->
+          let c = R.alloc l.ctx Ty.Private pty in
+          R.write l.ctx (R.L_cell c)
+            (R.V_ptr (Some { R.target = buf; pspace = buf.R.space }));
+          fr.(i) <- c
+      | None -> raise (Rt_crash ("missing buffer for parameter " ^ pname)))
+    code.source.kernel.params;
+  fr
+
+let run_group (code : compiled) (l : launch) tally ~profiling counts g =
   let threads = Ndrange.threads_of_group l.nd g in
   let n = List.length threads in
-  let grp = { g; shared_decls = Hashtbl.create 8; epoch_local = 0; epoch_global = 0 } in
+  let grp =
+    {
+      g;
+      shared = Array.make code.n_locals None;
+      epoch_local = 0;
+      epoch_global = 0;
+    }
+  in
   let states =
     List.map
       (fun th ->
         {
           th;
+          t_lin = Ndrange.t_linear l.nd th;
+          l_lin = Ndrange.l_linear l.nd th;
           l;
           grp;
+          tally;
+          profiling;
+          counts;
           fuel = l.cfg.fuel;
           loop_iters = [];
           call_depth = 0;
           lost_writes = false;
           barrier_seen = false;
+          via_ptr = false;
+          fr = [||];
         })
       threads
-  in
-  let kernel_env ts =
-    ignore ts;
-    (* kernel parameters are pointers to the launch buffers; constant
-       arrays are bound as array cells *)
-    let param_env =
-      List.map
-        (fun (pname, pty) ->
-          match List.assoc_opt pname l.buffers with
-          | Some buf ->
-              let c = R.alloc l.ctx Ty.Private pty in
-              R.write l.ctx (R.L_cell c)
-                (R.V_ptr (Some { R.target = buf; pspace = buf.R.space }));
-              (pname, c)
-          | None -> raise (Rt_crash ("missing buffer for parameter " ^ pname)))
-        l.prog.kernel.params
-    in
-    param_env
   in
   (* runnable.(i) = what to do next for thread i *)
   let runnable =
@@ -857,7 +1307,6 @@ let run_group (l : launch) g =
         | _ -> ())
       statuses
   in
-  let states_arr = Array.of_list states in
   try
     let finished = ref false in
     while not !finished do
@@ -866,8 +1315,8 @@ let run_group (l : launch) g =
         (fun i ->
           match runnable.(i) with
           | `Start ts ->
-              let env = kernel_env ts in
-              statuses.(i) <- Some (start_thread ts env)
+              ts.fr <- kernel_frame code l;
+              statuses.(i) <- Some (start_thread code ts)
           | `Resume k ->
               (* the continuation is consumed by [continue] even when the
                  fiber raises (fuel exhaustion, VM crash): clear the slot
@@ -888,8 +1337,7 @@ let run_group (l : launch) g =
       match (!dones, !barriers) with
       | d, [] when d = n -> finished := true
       | _, [] -> assert false
-      | d, bs when d > 0 ->
-          ignore bs;
+      | d, _ when d > 0 ->
           raise
             (Divergence
                "barrier divergence: some threads finished while others wait \
@@ -916,8 +1364,7 @@ let run_group (l : launch) g =
             (fun i st ->
               match st with Some Done -> runnable.(i) <- `Done | _ -> ())
             statuses
-    done;
-    ignore states_arr
+    done
   with e ->
     cleanup ();
     raise e
@@ -932,11 +1379,11 @@ let scalar_of_pointee (t : Ty.t) =
   | Ty.Ptr (_, Ty.Vector (s, _)) -> s
   | _ -> { Ty.width = Ty.W32; sign = Ty.Signed }
 
-let setup_buffers (tc : testcase) ctx nd =
+let setup_buffers (prog : program) (tc : testcase) ctx nd =
   List.map
     (fun (name, spec) ->
       let pty =
-        match List.assoc_opt name tc.prog.kernel.params with
+        match List.assoc_opt name prog.kernel.params with
         | Some t -> t
         | None -> Ty.Ptr (Ty.Global, Ty.int)
       in
@@ -947,7 +1394,7 @@ let setup_buffers (tc : testcase) ctx nd =
         | Buf_zero sz -> Array.make (max sz 1) 0L
         | Buf_data d -> Array.copy d
         | Buf_dead inverted ->
-            let d = tc.prog.dead_size in
+            let d = prog.dead_size in
             Array.init d (fun j ->
                 Int64.of_int (if inverted then d - 1 - j else j))
       in
@@ -963,23 +1410,31 @@ let output_of_buffers bufs =
               (Array.to_list (Array.map Scalar.to_string vals))))
        bufs)
 
-let run ?(config = default_config) ?costs (tc : testcase) : run_result =
+let exec ?(config = default_config) ?(profile = false) (code : compiled)
+    (tc : testcase) : run_result =
+  let prog = code.source in
   let race = Race.create () in
   let tally = { t_steps = 0; t_barriers = 0; t_atomics = 0; t_race_checks = 0 } in
-  let stats () =
+  let counts = if profile then Array.make code.n_ticks 0 else [||] in
+  let result outcome =
     {
-      steps = tally.t_steps;
-      barriers = tally.t_barriers;
-      atomics = tally.t_atomics;
-      race_checks = tally.t_race_checks;
-      prof = [];
+      outcome;
+      races = Race.races race;
+      stats =
+        {
+          steps = tally.t_steps;
+          barriers = tally.t_barriers;
+          atomics = tally.t_atomics;
+          race_checks = tally.t_race_checks;
+          prof = [];
+        };
+      ticks = counts;
     }
   in
   match
     let nd = Ndrange.make ~global:tc.global_size ~local:tc.local_size in
-    let tyenv = tyenv_of_program tc.prog in
-    let ctx = R.alloc_ctx ~tyenv ~layout:config.layout () in
-    let buffers = setup_buffers tc ctx nd in
+    let ctx = R.alloc_ctx ~tyenv:(tyenv_of_program prog) ~layout:config.layout () in
+    let buffers = setup_buffers prog tc ctx nd in
     let const_cells =
       List.map
         (fun (ca : const_array) ->
@@ -988,25 +1443,28 @@ let run ?(config = default_config) ?costs (tc : testcase) : run_result =
               R.alloc_scalar_buffer ctx Ty.Constant ca.ca_elem ca.ca_data.(0) )
           else
             (ca.ca_name, R.alloc_matrix_buffer ctx Ty.Constant ca.ca_elem ca.ca_data))
-        tc.prog.constant_arrays
+        prog.constant_arrays
     in
+    let named = buffers @ const_cells in
     let l =
       {
         cfg = config;
         ctx;
-        prog = tc.prog;
         nd;
-        buffers = buffers @ const_cells;
+        free = Array.map (fun name -> List.assoc_opt name named) code.free_names;
+        params =
+          Array.of_list
+            (List.map (fun (pname, _) -> List.assoc_opt pname named) prog.kernel.params);
         race;
-        tally;
-        costs;
       }
     in
-    List.iter (fun g -> run_group l g) (Ndrange.groups nd);
+    List.iter
+      (fun g -> run_group code l tally ~profiling:profile counts g)
+      (Ndrange.groups nd);
     let observed =
       List.map
         (fun name ->
-          match List.assoc_opt name l.buffers with
+          match List.assoc_opt name named with
           | Some c -> (name, R.scalar_buffer_contents c)
           | None -> (name, [||]))
         tc.observe
@@ -1016,23 +1474,12 @@ let run ?(config = default_config) ?costs (tc : testcase) : run_result =
   | out ->
       let races = Race.races race in
       if config.detect_races && races <> [] then
-        {
-          outcome = Outcome.Ub (Race.race_to_string (List.hd races));
-          races;
-          stats = stats ();
-        }
-      else { outcome = Outcome.Success out; races; stats = stats () }
-  | exception Rt_crash m ->
-      { outcome = Outcome.Crash m; races = Race.races race; stats = stats () }
-  | exception Fuel_exhausted ->
-      { outcome = Outcome.Timeout; races = Race.races race; stats = stats () }
-  | exception Divergence m ->
-      { outcome = Outcome.Ub m; races = Race.races race; stats = stats () }
-  | exception Invalid_argument m ->
-      {
-        outcome = Outcome.Crash ("runtime error: " ^ m);
-        races = Race.races race;
-        stats = stats ();
-      }
+        result (Outcome.Ub (Race.race_to_string (List.hd races)))
+      else result (Outcome.Success out)
+  | exception Rt_crash m -> result (Outcome.Crash m)
+  | exception Fuel_exhausted -> result Outcome.Timeout
+  | exception Divergence m -> result (Outcome.Ub m)
+  | exception Invalid_argument m -> result (Outcome.Crash ("runtime error: " ^ m))
 
+let run ?config (tc : testcase) = exec ?config (compile tc.prog) tc
 let run_outcome ?config tc = (run ?config tc).outcome

@@ -15,7 +15,15 @@
     The interpreter is parameterised by a {!Layout.policy} (union member
     access) and a {!Profile.t} of semantic quirks, so the same engine
     executes both the trustworthy reference device and the buggy code that
-    vendor fault models produce. *)
+    vendor fault models produce.
+
+    A program is first compiled ({!compile}) into closures with every
+    name resolved — variables to frame slots, names bound nowhere in scope
+    to the launch's buffers and constant arrays, struct fields to member
+    indices, calls to the compiled callee, constants to prebuilt values —
+    and each node's cost-profile slot baked in. The compiled form is
+    immutable and may be run ({!exec}) any number of times, concurrently
+    from several domains, under any {!config}. *)
 
 type config = {
   fuel : int;  (** per-thread execution-step budget; exhaustion = timeout *)
@@ -51,12 +59,34 @@ type run_result = {
   outcome : Outcome.t;
   races : Race.race list;  (** non-empty only when [detect_races] *)
   stats : stats;  (** work done, valid on every outcome including crashes *)
+  ticks : int array;
+      (** with [exec ~profile:true], the cost profile: one count per slot
+          of the compiled program, one tick per AST-node visit; decode
+          with {!constructs}. Empty otherwise. *)
 }
 
-val run : ?config:config -> ?costs:Costwalk.t -> Ast.testcase -> run_result
-(** [?costs] arms the cost profiler: every AST-node visit ticks the
-    table (built from the exact program value being run). [None] costs
-    one option match per visit — no atomic loads on the hot path. *)
+type compiled
+(** A program compiled for execution. *)
+
+val compile : Ast.program -> compiled
+(** Never fails: what a run cannot resolve (an unbound variable, an
+    unknown function, a bad arity, a missing kernel buffer) crashes the
+    run when execution reaches it, as it would in a tree-walker. *)
+
+val exec :
+  ?config:config -> ?profile:bool -> compiled -> Ast.testcase -> run_result
+(** Run a compiled program with the testcase's launch: its NDRange,
+    buffers and observed outputs. The program run is the compiled one;
+    the testcase's own [prog] is not read. [profile] (default [false])
+    counts the cost profile into [ticks]: one array bump per node visit,
+    on the slot compiled into the node. *)
+
+val constructs : compiled -> int array -> Costprof.construct list
+(** The non-zero ticks of a run of this program as cost-profile
+    constructs, sorted by (loc, kind). *)
+
+val run : ?config:config -> Ast.testcase -> run_result
+(** [compile] the testcase's program, then [exec] it. *)
 
 val run_outcome : ?config:config -> Ast.testcase -> Outcome.t
 (** Just the outcome. *)

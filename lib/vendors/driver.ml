@@ -49,18 +49,23 @@ let std_pipeline ~rotate_zero_bug =
   ]
 
 (* Pass-pipeline results depend only on (optimising?, rotate bug?), so a
-   prepared test case caches the four possibilities on first use. The
-   caches are Memo cells, not Lazy, because a prepared kernel is shared by
-   every (config, opt-level) cell of a campaign and those cells run
-   concurrently on pool domains. *)
+   prepared test case caches the four possibilities on first use, each
+   beside its compiled form. The caches are Memo cells, not Lazy, because
+   a prepared kernel is shared by every (config, opt-level) cell of a
+   campaign and those cells run concurrently on pool domains. *)
+type variant = { prog : Ast.program Memo.t; code : Interp.compiled Memo.t }
+
+let variant prog =
+  { prog; code = Memo.make (fun () -> Interp.compile (Memo.force prog)) }
+
 type prepared = {
   tc : Ast.testcase;
   feats : Features.t Memo.t;
   khash : string Memo.t; (* content hash of the printed source program *)
-  plain : Ast.program Memo.t; (* no passes *)
-  rotate_only : Ast.program Memo.t; (* Fig. 2(b) front-end folder at -O0 *)
-  optimized : Ast.program Memo.t;
-  optimized_rotate : Ast.program Memo.t;
+  plain : variant; (* no passes *)
+  rotate_only : variant; (* Fig. 2(b) front-end folder at -O0 *)
+  optimized : variant;
+  optimized_rotate : variant;
 }
 
 let prepare (tc : Ast.testcase) =
@@ -70,27 +75,30 @@ let prepare (tc : Ast.testcase) =
     khash =
       Memo.make (fun () ->
           Digest.to_hex (Digest.string (Pp.program_to_string tc.Ast.prog)));
-    plain = Memo.of_val tc.Ast.prog;
+    plain = variant (Memo.of_val tc.Ast.prog);
     rotate_only =
-      Memo.make (fun () ->
-          Pass.pipeline [ Const_fold.pass ~rotate_zero_bug:true () ] tc.Ast.prog);
+      variant
+        (Memo.make (fun () ->
+             Pass.pipeline [ Const_fold.pass ~rotate_zero_bug:true () ] tc.Ast.prog));
     optimized =
-      Memo.make (fun () ->
-          Pass.pipeline (std_pipeline ~rotate_zero_bug:false) tc.Ast.prog);
+      variant
+        (Memo.make (fun () ->
+             Pass.pipeline (std_pipeline ~rotate_zero_bug:false) tc.Ast.prog));
     optimized_rotate =
-      Memo.make (fun () ->
-          Pass.pipeline (std_pipeline ~rotate_zero_bug:true) tc.Ast.prog);
+      variant
+        (Memo.make (fun () ->
+             Pass.pipeline (std_pipeline ~rotate_zero_bug:true) tc.Ast.prog));
   }
 
 let testcase_of p = p.tc
 let features_of_prepared p = Memo.force p.feats
 
-let compiled (c : Config.t) ~opt (p : prepared) =
+let variant_for (c : Config.t) ~opt (p : prepared) =
   let rotate = has_buggy_rotate c ~opt in
   if opt && c.Config.optimizes then
-    Memo.force (if rotate then p.optimized_rotate else p.optimized)
-  else if rotate then Memo.force p.rotate_only
-  else Memo.force p.plain
+    if rotate then p.optimized_rotate else p.optimized
+  else if rotate then p.rotate_only
+  else p.plain
 
 let apply_wrong_code ?noise (c : Config.t) ~opt feats prog =
   let faults = faults_of ?noise c ~opt in
@@ -163,7 +171,8 @@ let interp_config ?fuel (c : Config.t) profile =
 
 let compiled_program (c : Config.t) ~opt (tc : Ast.testcase) =
   let p = prepare tc in
-  apply_wrong_code c ~opt (Memo.force p.feats) (compiled c ~opt p)
+  apply_wrong_code c ~opt (Memo.force p.feats)
+    (Memo.force (variant_for c ~opt p).prog)
 
 (* span name is only materialised when tracing is on *)
 let exec_span ?flow (c : Config.t) ~opt f =
@@ -173,51 +182,69 @@ let exec_span ?flow (c : Config.t) ~opt f =
       f
   else f ()
 
-let run_prepared_stats ?noise ?fuel ?flow (c : Config.t) ~opt (p : prepared) :
-    Outcome.t * Interp.stats =
+(* What a cell does: an outcome a fault decides without executing, or
+   the program to execute (post-pass, post-mutation), its interpreter
+   config and how to get its compiled form — the variant's shared one,
+   unless a wrong-code mutation made the program the cell's own. *)
+type plan =
+  | Decided of Outcome.t
+  | Execute of Ast.program * Interp.config * (unit -> Interp.compiled)
+
+let plan ?noise ?fuel (c : Config.t) ~opt (p : prepared) =
   let feats = Memo.force p.feats in
   match front_end ?noise c ~opt feats with
-  | Some o -> (o, Interp.zero_stats)
+  | Some o -> Decided o
   | None -> (
       match runtime_fate ?noise c ~opt feats with
-      | Some o -> (o, Interp.zero_stats)
+      | Some o -> Decided o
       | None ->
-          let prog = apply_wrong_code ?noise c ~opt feats (compiled c ~opt p) in
-          let profile = assemble_profile ?noise c ~opt feats in
-          (* build the tick table on the exact post-pass, post-mutation
-             program value the interpreter will execute, so physical-
-             identity lookups hit *)
-          let costs =
-            if Costprof.enabled () then Some (Costwalk.build prog) else None
+          let v = variant_for c ~opt p in
+          let source = Memo.force v.prog in
+          let prog = apply_wrong_code ?noise c ~opt feats source in
+          let config = interp_config ?fuel c (assemble_profile ?noise c ~opt feats) in
+          let code () =
+            if prog == source then Memo.force v.code else Interp.compile prog
           in
-          let r =
-            exec_span ?flow c ~opt (fun () ->
-                Interp.run ?costs
-                  ~config:(interp_config ?fuel c profile)
-                  { p.tc with Ast.prog })
-          in
-          let stats =
-            match costs with
-            | None -> r.Interp.stats
-            | Some cw ->
+          Execute (prog, config, code))
+
+let cell_program ?noise ?fuel c ~opt p =
+  match plan ?noise ?fuel c ~opt p with
+  | Decided _ -> None
+  | Execute (prog, config, _) -> Some (prog, config)
+
+let run_prepared_stats ?noise ?fuel ?flow (c : Config.t) ~opt (p : prepared) :
+    Outcome.t * Interp.stats =
+  match plan ?noise ?fuel c ~opt p with
+  | Decided o -> (o, Interp.zero_stats)
+  | Execute (prog, config, code) ->
+      let profiling = Costprof.enabled () in
+      (* compiling is execution cost: it happens inside the exec span *)
+      let code, r =
+        exec_span ?flow c ~opt (fun () ->
+            let code = code () in
+            (code, Interp.exec ~config ~profile:profiling code { p.tc with Ast.prog }))
+      in
+      let stats =
+        if profiling then
+          {
+            r.Interp.stats with
+            Interp.prof =
+              [
                 {
-                  r.Interp.stats with
-                  Interp.prof =
-                    [
-                      {
-                        Costprof.khash = Memo.force p.khash;
-                        config = c.Config.id;
-                        opt = (if opt then "+" else "-");
-                        ticks = Costwalk.ticks cw;
-                        constructs = Costwalk.constructs cw;
-                      };
-                    ];
-                }
-          in
-          (* a real device does not diagnose UB: it just misbehaves *)
-          (match r.Interp.outcome with
-          | Outcome.Ub m -> (Outcome.Crash ("undefined behaviour: " ^ m), stats)
-          | o -> (o, stats)))
+                  Costprof.khash = Memo.force p.khash;
+                  config = c.Config.id;
+                  opt = (if opt then "+" else "-");
+                  ticks = Costwalk.ticks r.Interp.ticks;
+                  constructs = Interp.constructs code r.Interp.ticks;
+                };
+              ];
+          }
+        else r.Interp.stats
+      in
+      (* a real device does not diagnose UB: it just misbehaves *)
+      (match r.Interp.outcome with
+      | Outcome.Ub m -> (Outcome.Crash ("undefined behaviour: " ^ m), stats)
+      | o -> (o, stats))
 
 let run_prepared ?noise ?fuel (c : Config.t) ~opt (p : prepared) : Outcome.t =
   fst (run_prepared_stats ?noise ?fuel c ~opt p)

@@ -18,10 +18,12 @@
 
 type prepared
 (** A test case with its feature vector and pass-pipeline results cached:
-    features and the optimised program are shared by every configuration,
-    so campaigns prepare once and run many. The caches are domain-safe
-    ({!Memo}), so one prepared kernel may be run concurrently from every
-    domain of an execution pool. *)
+    features, the optimised program and each post-pass program's compiled
+    form ({!Interp.compile}) are shared by every configuration, opt level
+    and work-item, so campaigns prepare and compile once and run many. A
+    cell whose program a wrong-code fault mutates compiles its own. The
+    caches are domain-safe ({!Memo}), so one prepared kernel may be run
+    concurrently from every domain of an execution pool. *)
 
 val prepare : Ast.testcase -> prepared
 val testcase_of : prepared -> Ast.testcase
@@ -58,7 +60,19 @@ val run_prepared_stats :
     When {!Costprof.enabled}, the stats carry exactly one cost cell
     (kernel content hash × (config, opt) × per-construct tick counts);
     the interpreter's tick table is built on the post-pass,
-    post-mutation program actually executed. *)
+    post-mutation program actually executed. Compiling that program,
+    when not already cached, happens inside the cell's exec span. *)
+
+val cell_program :
+  ?noise:bool ->
+  ?fuel:int ->
+  Config.t ->
+  opt:bool ->
+  prepared ->
+  (Ast.program * Interp.config) option
+(** The program (post-pass, post-mutation) and interpreter config that
+    {!run_prepared_stats} executes for this cell, or [None] when a fault
+    decides the cell without executing it. *)
 
 val run : ?noise:bool -> Config.t -> opt:bool -> Ast.testcase -> Outcome.t
 (** [prepare] + [run_prepared]. *)

@@ -10,6 +10,7 @@ let success = function
   | o -> Alcotest.failf "expected success, got %s" (Outcome.to_string o)
 
 let k body = kernel1 "k" body
+let grid2 prog = testcase ~gsize:(2, 1, 1) ~lsize:(2, 1, 1) prog
 let store e = assign (idx (v "out") tid_linear) (cast Ty.ulong e)
 
 let test_thread_identities () =
@@ -77,6 +78,25 @@ let test_barrier_divergence_detected () =
       Alcotest.(check bool) "mentions divergence" true
         Stdlib.(String.length m > 0)
   | o -> Alcotest.failf "expected divergence, got %s" (Outcome.to_string o)
+
+let test_barrier_sites_are_occurrences () =
+  (* threads at two different barrier statements diverge even when both
+     statements are the same shared value ([barrier] is one constant);
+     identical printed kernels must give identical outcomes *)
+  List.iter
+    (fun (label, b1, b2) ->
+      let prog = k [ if_else (lid_linear == ci 0) [ b1 ] [ b2 ]; store (ci 0) ] in
+      match run (grid2 prog) with
+      | Outcome.Ub m ->
+          Alcotest.(check string) label
+            "barrier divergence: threads arrived at different barriers or \
+             iterations"
+            m
+      | o -> Alcotest.failf "%s: expected divergence, got %s" label (Outcome.to_string o))
+    [
+      ("shared barrier value", barrier, barrier);
+      ("distinct barrier values", barrier_f Op.F_local, barrier_f Op.F_local);
+    ]
 
 let test_divergent_iteration_counts () =
   (* both threads reach *a* barrier but with different loop trip counts *)
@@ -250,6 +270,8 @@ let () =
         [
           Alcotest.test_case "divergence detection" `Quick test_barrier_divergence_detected;
           Alcotest.test_case "divergent iterations" `Quick test_divergent_iteration_counts;
+          Alcotest.test_case "barrier sites are occurrences" `Quick
+            test_barrier_sites_are_occurrences;
           Alcotest.test_case "out of bounds" `Quick test_out_of_bounds_crash;
           Alcotest.test_case "null deref" `Quick test_null_deref_crash;
           Alcotest.test_case "fuel timeout" `Quick test_fuel_timeout;
