@@ -91,16 +91,15 @@ let cls_of_bucket = function
   | Majority.B_ok | Majority.B_timeout -> None
 
 (* one planned kernel of a generation. Its prepared form (with the
-   compiled programs it caches) is dropped once the kernel's last cell
-   has run, so a generation does not keep every kernel's compiled forms
-   until its fold; [left] counts the cells still to run. *)
+   compiled programs and runs it caches) is held until the kernel's last
+   cell has run, so a generation does not keep every kernel's compiled
+   forms until its fold. *)
 type planned = {
   kidx : int;
   prov : provenance;
   tc : Ast.testcase;
   features : Features.t;
-  prep : Driver.prepared option Atomic.t;
-  left : int Atomic.t;
+  prep : Driver.prepared Par.held;
 }
 
 let planned ~n_cells kidx prov tc =
@@ -110,17 +109,8 @@ let planned ~n_cells kidx prov tc =
     prov;
     tc;
     features = Driver.features_of_prepared prep;
-    prep = Atomic.make (Some prep);
-    left = Atomic.make n_cells;
+    prep = Par.hold ~cells:n_cells prep;
   }
-
-let run_planned ?fuel k c ~opt =
-  match Atomic.get k.prep with
-  | None -> assert false (* cleared only after the kernel's last cell *)
-  | Some prep ->
-      let r = Driver.run_prepared_stats ?fuel c ~opt prep in
-      if Atomic.fetch_and_add k.left (-1) = 1 then Atomic.set k.prep None;
-      r
 
 (* a cell's result is its outcome with the interpreter tally the coverage
    fold reads; the note carries both across a resume *)
@@ -242,7 +232,9 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
       Par.cells eng codec
         ~key:(fun (k, c, opt) -> ("fuzz", k.kidx, c.Config.id, opt_str opt))
         ~f:(fun _ (k, c, opt) ->
-          let ((_, st) as r) = run_planned ?fuel k c ~opt in
+          let ((_, st) as r) =
+            Par.use k.prep (Driver.run_prepared_stats ?fuel c ~opt)
+          in
           (r, st))
         tasks
     in

@@ -72,10 +72,12 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
       let gcfg = Gen_config.scaled mode in
       (* phase 1: generate + prefilter candidate seeds in parallel batches,
          consumed in seed order (Par.collect), so survivors and discard
-         tallies match the sequential loop exactly. Always recomputed on
-         resume — it is deterministic and a small fraction of the cell
-         work, and rebuilding the kernels is needed to verify the journal
-         against this run anyway. *)
+         tallies match the sequential loop exactly. Generation is
+         recomputed on resume, to rebuild the kernels; a kernel's
+         prefilter verdict is read from its journalled 1+ cell when the
+         journal holds it, and otherwise computed here — a run that the
+         kernel's 1+ cell then reads from the prepared kernel's run memo.
+         An accepted kernel is held until its last cell has run. *)
       let classify ~seed =
         let tc, info =
           Span.with_ ~cat:"gen" "generate" (fun () ->
@@ -84,9 +86,18 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
         if info.Generate.counter_sharing then Par.Reject `Sharing
         else
           let prep = Driver.prepare tc in
-          match Driver.run_prepared ?fuel prefilter_config ~opt:true prep with
+          let journalled =
+            Par.replayed eng
+              (mode_name, seed, prefilter_config.Config.id, opt_str true)
+          in
+          let verdict =
+            match Option.bind journalled codec.Par.decode with
+            | Some (o, _) -> o
+            | None -> Driver.run_prepared ?fuel prefilter_config ~opt:true prep
+          in
+          match verdict with
           | Outcome.Build_failure _ | Outcome.Timeout -> Par.Reject `Prefiltered
-          | _ -> Par.Accept (seed, prep)
+          | _ -> Par.Accept (seed, Par.hold ~cells:(List.length keys) prep)
       in
       let kernels, rejects = Par.collect pool ~n:per_mode ~seed0 ~classify in
       (* phase 2: every (kernel, config, opt-level) cell is one pool task,
@@ -104,7 +115,7 @@ let run ?jobs ?fuel ?(per_mode = 60) ?(seed0 = 10_000) ?config_ids ?modes ?sink
         Par.cells eng codec
           ~key:(fun (seed, _, c, opt) -> (mode_name, seed, c.Config.id, opt_str opt))
           ~f:(fun flow (_, prep, c, opt) ->
-            Driver.run_prepared_stats ?fuel ~flow c ~opt prep)
+            Par.use prep (Driver.run_prepared_stats ?fuel ~flow c ~opt))
           tasks
       in
       (* deterministic merge: regroup the flat outcome list by kernel (the

@@ -65,8 +65,9 @@ val run :
     re-executed, its recorded outcome is used (and re-emitted to [sink]
     in order), so an interrupted campaign continues where it stopped and
     finishes with output byte-identical to an uninterrupted run.
-    Generation and prefiltering are always recomputed — they are
-    deterministic and cheap relative to the cell grid.
+    Generation is always recomputed (it is deterministic and rebuilds the
+    kernels); a kernel whose 1+ cell [resume] holds takes its prefilter
+    verdict from that cell instead of running the prefilter again.
 
     [exec_filter] is the distributed-worker hook: when given, a cell
     whose global task index is rejected (and that [resume] does not

@@ -75,11 +75,12 @@ let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
   and tmo = Array.make n 0
   and tot = Array.make n 0 in
   (* one task per (kernel, configuration) cell, kernel-major; the prepared
-     kernel is shared by all of its cells across domains *)
+     kernel is shared by all of its cells across domains, and held until
+     the last of them has run *)
   let tasks =
     List.concat_map
       (fun (seed, mode, tc) ->
-        let prep = Driver.prepare tc in
+        let prep = Par.hold ~cells:n (Driver.prepare tc) in
         List.map (fun c -> (seed, mode, prep, c)) configs)
       kernels
   in
@@ -89,6 +90,7 @@ let run ?jobs ?fuel ?(per_mode = 10) ?(seed0 = 1) ?sink ?resume ?exec_filter ()
       ~key:(fun (seed, mode, _, c) ->
         (Gen_config.mode_name mode, seed, c.Config.id, "*"))
       ~f:(fun _ (_, _, prep, c) ->
+        Par.use prep @@ fun prep ->
         let off, st_off = Driver.run_prepared_stats ?fuel c ~opt:false prep in
         let on, st_on = Driver.run_prepared_stats ?fuel c ~opt:true prep in
         ((off, on), Interp.add_stats st_off st_on))

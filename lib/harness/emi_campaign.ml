@@ -100,7 +100,10 @@ let run ?jobs ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000) ?config_ids
   let mode_name = Gen_config.mode_name Gen_config.All in
   Pool.with_pool ~jobs @@ fun pool ->
   (* phase 1: generation + liveness filter over candidate seeds, in
-     parallel batches consumed in seed order *)
+     parallel batches consumed in seed order (Par.collect classifies
+     exactly the sequential loop's seeds). Recomputed on resume: the
+     filter's two runs of a base are not cells, so the journal holds no
+     verdict to read back. *)
   let classify ~seed =
     let tc, info =
       Span.with_ ~cat:"gen" "generate" (fun () ->
@@ -117,12 +120,15 @@ let run ?jobs ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000) ?config_ids
       configs
   in
   (* phase 2: derive + prepare each base's variants (one task per base);
-     the prepared variants are then shared by that base's cells. Always
-     recomputed on resume: derivation is deterministic in the base seed. *)
+     the prepared variants are then shared by that base's cells and held
+     until the last of them has run. Always recomputed on resume:
+     derivation is deterministic in the base seed. *)
   let prepared_bases =
     Pool.map pool
       ~f:(fun (seed, base) ->
-        (seed, List.map Driver.prepare (Variant.variants ~base ~count:variants)))
+        ( seed,
+          Par.hold ~cells:(List.length keys)
+            (List.map Driver.prepare (Variant.variants ~base ~count:variants)) ))
       base_list
   in
   (* phase 3: one task per (base, config, opt-level) cell, base-major *)
@@ -139,11 +145,12 @@ let run ?jobs ?fuel ?(bases = 15) ?(variants = 10) ?(seed0 = 50_000) ?config_ids
     Par.cells eng codec
       ~key:(fun (seed, _, c, opt) -> (mode_name, seed, c.Config.id, opt_str opt))
       ~f:(fun _ (_, vs, c, opt) ->
-        List.fold_left_map
-          (fun acc prep ->
-            let o, st = Driver.run_prepared_stats ?fuel c ~opt prep in
-            (Interp.add_stats acc st, o))
-          Interp.zero_stats vs
+        Par.use vs
+          (List.fold_left_map
+             (fun acc prep ->
+               let o, st = Driver.run_prepared_stats ?fuel c ~opt prep in
+               (Interp.add_stats acc st, o))
+             Interp.zero_stats)
         |> fun (stats, outcomes) -> (outcomes, stats))
       tasks
   in

@@ -1,22 +1,28 @@
 type ('a, 'r) verdict = Accept of 'a | Reject of 'r
 
 let collect pool ~n ~seed0 ~classify =
-  let batch = max 8 (2 * Pool.jobs pool) in
-  (* scan verdicts in seed order; stop at the n-th acceptance so discard
-     tallies match the sequential loop exactly *)
+  (* a batch never outnumbers the acceptances still needed, so the seeds
+     classified are exactly the sequential loop's: [seed0] up to the n-th
+     acceptance, whatever the pool size *)
   let rec go seed acc rejects need =
-    if need = 0 then (List.rev acc, List.rev rejects)
+    if need <= 0 then (List.rev acc, List.rev rejects)
     else
-      let seeds = List.init batch (fun i -> seed + i) in
-      let verdicts = Pool.map pool ~f:(fun s -> classify ~seed:s) seeds in
-      scan (seed + batch) acc rejects need verdicts
-  and scan next_seed acc rejects need = function
-    | _ when need = 0 -> (List.rev acc, List.rev rejects)
-    | [] -> go next_seed acc rejects need
-    | Accept a :: rest -> scan next_seed (a :: acc) rejects (need - 1) rest
-    | Reject r :: rest -> scan next_seed acc (r :: rejects) need rest
+      let batch = min need (max 8 (2 * Pool.jobs pool)) in
+      let verdicts =
+        Pool.map pool
+          ~f:(fun s -> classify ~seed:s)
+          (List.init batch (fun i -> seed + i))
+      in
+      let acc, rejects, need =
+        List.fold_left
+          (fun (acc, rejects, need) -> function
+            | Accept a -> (a :: acc, rejects, need - 1)
+            | Reject r -> (acc, r :: rejects, need))
+          (acc, rejects, need) verdicts
+      in
+      go (seed + batch) acc rejects need
   in
-  if n <= 0 then ([], []) else go seed0 [] [] n
+  go seed0 [] [] n
 
 let count rejects ~tag = List.length (List.filter (fun r -> r = tag) rejects)
 
@@ -25,8 +31,8 @@ let count rejects ~tag = List.length (List.filter (fun r -> r = tag) rejects)
 (* ------------------------------------------------------------------ *)
 
 (* These totals are fed exclusively from the fixed (kernel, config, opt)
-   cell grid — never from [collect]'s generation batches, whose evaluated
-   seed set depends on the pool size — so they are [-j]-invariant. *)
+   cell grid — never from [collect]'s classification runs, which a resume
+   partly skips — so they are [-j]-invariant and resume-invariant. *)
 let m_cells = Metrics.counter "cells.completed"
 let m_steps = Metrics.counter "interp.steps"
 let m_barriers = Metrics.counter "interp.barriers"
@@ -111,6 +117,8 @@ type engine = {
   mutable next : int;  (** global index of the next batch's first cell *)
 }
 
+let replayed e key = Option.bind e.replay (fun tbl -> Hashtbl.find_opt tbl key)
+
 let engine ?sink ?resume ?exec_filter pool =
   let replay =
     match resume with
@@ -139,11 +147,7 @@ let cells e codec ~key ~f tasks =
   (* a distributed worker executes only its leased shard: every other
      non-replayed cell degrades to an instant placeholder *)
   let lookup i =
-    let replayed =
-      Option.bind e.replay (fun tbl ->
-          Option.bind (Hashtbl.find_opt tbl (key tasks.(i))) codec.decode)
-    in
-    match replayed with
+    match Option.bind (replayed e (key tasks.(i))) codec.decode with
     | None when not (kept i) -> Some (codec.crash skipped, Interp.zero_stats)
     | r -> r
   in
@@ -177,6 +181,19 @@ let cells e codec ~key ~f tasks =
       if kept i then record_cell st (codec.outcomes r);
       r)
     (Array.to_list results)
+
+type 'a held = { value : 'a option Atomic.t; left : int Atomic.t }
+
+let hold ~cells v = { value = Atomic.make (Some v); left = Atomic.make cells }
+
+let use h f =
+  match Atomic.get h.value with
+  | None -> invalid_arg "Par.use: value already dropped"
+  | Some v ->
+      Fun.protect
+        ~finally:(fun () ->
+          if Atomic.fetch_and_add h.left (-1) = 1 then Atomic.set h.value None)
+        (fun () -> f v)
 
 let vote e outcomes =
   let majority =

@@ -13,14 +13,15 @@ val collect :
   seed0:int ->
   classify:(seed:int -> ('a, 'r) verdict) ->
   'a list * 'r list
-(** Evaluate candidate seeds [seed0, seed0+1, ...] in parallel batches and
-    scan the verdicts in seed order, exactly as the sequential
+(** Classify candidate seeds [seed0, seed0+1, ...] in parallel batches
+    and scan the verdicts in seed order, exactly as the sequential
     generate-and-filter loops did: the first [n] accepted candidates are
     returned (in seed order) together with the rejection tags of every
-    seed consumed before the [n]-th acceptance. Seeds evaluated beyond
-    that point are discarded unobserved, so the result — including the
-    discard tallies — is independent of batch size and [-j]. [classify]
-    must be pure. *)
+    seed before the [n]-th acceptance. A batch is never larger than the
+    acceptances still needed, so [classify] is called on exactly the
+    seeds the sequential loop would classify, [seed0] up to the [n]-th
+    acceptance, at every pool size. [classify] must be deterministic in
+    its seed. *)
 
 val count : 'r list -> tag:'r -> int
 (** Occurrences of [tag] in a rejection list. *)
@@ -86,6 +87,26 @@ val cells :
     index. Exception isolation as in {!Pool.map_isolated}: a non-fatal
     exception becomes [crash] of a harness-crash outcome; fatal
     exhaustion stops the sink stream at its index and re-raises. *)
+
+val replayed : engine -> string * int * int * string -> Journal.cell option
+(** The journalled cell [resume] holds under a key
+    [(mode, seed, config, opt)], if any — how a driver reads a verdict
+    the journal already records instead of computing it again. *)
+
+type 'a held
+(** A value a known number of cells share — a kernel's
+    {!Driver.prepared} — dropped once the last of them has run, so a
+    batch does not keep every kernel's compiled forms and run memo alive
+    until it ends. *)
+
+val hold : cells:int -> 'a -> 'a held
+
+val use : 'a held -> ('a -> 'b) -> 'b
+(** Run one of the [cells] on the held value; the last call (returning
+    or raising) drops it, and a call after that raises
+    [Invalid_argument]. Domain-safe. A cell replayed or replaced by a
+    placeholder never calls [use], so its value stays held until the
+    [held] itself is unreachable. *)
 
 val vote : engine -> Outcome.t list -> Majority.bucket list
 (** Majority-vote one kernel's outcomes (under a ["vote"] span) and

@@ -50,13 +50,36 @@ let std_pipeline ~rotate_zero_bug =
 
 (* Pass-pipeline results depend only on (optimising?, rotate bug?), so a
    prepared test case caches the four possibilities on first use, each
-   beside its compiled form. The caches are Memo cells, not Lazy, because
-   a prepared kernel is shared by every (config, opt-level) cell of a
-   campaign and those cells run concurrently on pool domains. *)
-type variant = { prog : Ast.program Memo.t; code : Interp.compiled Memo.t }
+   beside its compiled form and its run memo: a run of the unmutated
+   program is a function of the interpreter config and whether ticks are
+   counted, so cells that agree on both (the prefilter and the 1+ cell,
+   a non-optimising config's two opt levels) run once. The caches are
+   Memo cells, not Lazy, because a prepared kernel is shared by every
+   (config, opt-level) cell of a campaign and those cells run
+   concurrently on pool domains. *)
+type variant = {
+  prog : Ast.program Memo.t;
+  code : Interp.compiled Memo.t;
+  runs : ((Interp.config * bool) * Interp.run_result Memo.t) list Atomic.t;
+}
 
 let variant prog =
-  { prog; code = Memo.make (fun () -> Interp.compile (Memo.force prog)) }
+  {
+    prog;
+    code = Memo.make (fun () -> Interp.compile (Memo.force prog));
+    runs = Atomic.make [];
+  }
+
+(* the variant's run under [config], computed by the first cell to ask *)
+let rec memo_run v ~config ~profile run =
+  let key = (config, profile) in
+  let runs = Atomic.get v.runs in
+  match List.assoc_opt key runs with
+  | Some m -> Memo.force m
+  | None ->
+      let m = Memo.make run in
+      if Atomic.compare_and_set v.runs runs ((key, m) :: runs) then Memo.force m
+      else memo_run v ~config ~profile run
 
 type prepared = {
   tc : Ast.testcase;
@@ -184,11 +207,15 @@ let exec_span ?flow (c : Config.t) ~opt f =
 
 (* What a cell does: an outcome a fault decides without executing, or
    the program to execute (post-pass, post-mutation), its interpreter
-   config and how to get its compiled form — the variant's shared one,
-   unless a wrong-code mutation made the program the cell's own. *)
+   config and how to run it — on the variant's shared compiled form
+   through its run memo, unless a wrong-code mutation made the program
+   the cell's own. *)
 type plan =
   | Decided of Outcome.t
-  | Execute of Ast.program * Interp.config * (unit -> Interp.compiled)
+  | Execute of
+      Ast.program
+      * Interp.config
+      * (profile:bool -> Interp.compiled * Interp.run_result)
 
 let plan ?noise ?fuel (c : Config.t) ~opt (p : prepared) =
   let feats = Memo.force p.feats in
@@ -202,10 +229,18 @@ let plan ?noise ?fuel (c : Config.t) ~opt (p : prepared) =
           let source = Memo.force v.prog in
           let prog = apply_wrong_code ?noise c ~opt feats source in
           let config = interp_config ?fuel c (assemble_profile ?noise c ~opt feats) in
-          let code () =
-            if prog == source then Memo.force v.code else Interp.compile prog
+          let launch = { p.tc with Ast.prog } in
+          let run ~profile =
+            if prog == source then
+              let code = Memo.force v.code in
+              ( code,
+                memo_run v ~config ~profile (fun () ->
+                    Interp.exec ~config ~profile code launch) )
+            else
+              let code = Interp.compile prog in
+              (code, Interp.exec ~config ~profile code launch)
           in
-          Execute (prog, config, code))
+          Execute (prog, config, run))
 
 let cell_program ?noise ?fuel c ~opt p =
   match plan ?noise ?fuel c ~opt p with
@@ -216,14 +251,11 @@ let run_prepared_stats ?noise ?fuel ?flow (c : Config.t) ~opt (p : prepared) :
     Outcome.t * Interp.stats =
   match plan ?noise ?fuel c ~opt p with
   | Decided o -> (o, Interp.zero_stats)
-  | Execute (prog, config, code) ->
+  | Execute (_, _, run) ->
       let profiling = Costprof.enabled () in
-      (* compiling is execution cost: it happens inside the exec span *)
-      let code, r =
-        exec_span ?flow c ~opt (fun () ->
-            let code = code () in
-            (code, Interp.exec ~config ~profile:profiling code { p.tc with Ast.prog }))
-      in
+      (* compiling is execution cost: it happens inside the exec span, as
+         does a memoized run's lookup *)
+      let code, r = exec_span ?flow c ~opt (fun () -> run ~profile:profiling) in
       let stats =
         if profiling then
           {

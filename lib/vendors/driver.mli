@@ -20,10 +20,16 @@ type prepared
 (** A test case with its feature vector and pass-pipeline results cached:
     features, the optimised program and each post-pass program's compiled
     form ({!Interp.compile}) are shared by every configuration, opt level
-    and work-item, so campaigns prepare and compile once and run many. A
-    cell whose program a wrong-code fault mutates compiles its own. The
-    caches are domain-safe ({!Memo}), so one prepared kernel may be run
-    concurrently from every domain of an execution pool. *)
+    and work-item, so campaigns prepare and compile once and run many.
+    Each post-pass program also memoizes its runs, keyed by the full
+    {!Interp.config} and whether the cost profile is counted: cells that
+    agree on both — a campaign's prefilter and its 1+ cell, the two opt
+    levels of a configuration that does not optimise — execute once, and
+    every such cell still gets its own exec span, stats and cost cell. A
+    cell whose program a wrong-code fault mutates compiles and runs its
+    own, unmemoized. The caches are domain-safe ({!Memo}), so one
+    prepared kernel may be run concurrently from every domain of an
+    execution pool; they live as long as the prepared kernel. *)
 
 val prepare : Ast.testcase -> prepared
 val testcase_of : prepared -> Ast.testcase
@@ -61,7 +67,8 @@ val run_prepared_stats :
     (kernel content hash × (config, opt) × per-construct tick counts);
     the interpreter's tick table is built on the post-pass,
     post-mutation program actually executed. Compiling that program,
-    when not already cached, happens inside the cell's exec span. *)
+    when not already cached, happens inside the cell's exec span, and so
+    does reading a memoized run. *)
 
 val cell_program :
   ?noise:bool ->

@@ -313,6 +313,59 @@ let test_generated () =
   Alcotest.(check bool) "some cells complete" true
     Stdlib.(count (function Outcome.Success _ -> true | _ -> false) > 0)
 
+(* The run memo of a prepared kernel is invisible: every cell of the grid
+   run on one shared prepared kernel — first unprofiled, then profiled,
+   then at more fuel, then with the transient faults (and so their
+   quirks) off, in grid order and reversed — gives the outcome, stats and
+   cost-profile cell a fresh prepare gives that cell. A memo key that
+   missed the fuel, the profiling flag or the quirk profile would hand
+   some cell another cell's run. *)
+let result_str (o, (st : Interp.stats)) =
+  String.concat "\n"
+    (Printf.sprintf "%s steps=%d barriers=%d atomics=%d race_checks=%d"
+       (outcome_str o) st.steps st.barriers st.atomics st.race_checks
+    :: List.concat_map
+         (fun (c : Costprof.cell) ->
+           Printf.sprintf "cost cell %s %d%s ticks=%d" c.khash c.config c.opt c.ticks
+           :: List.map construct_str c.constructs)
+         st.prof)
+
+let test_run_memo () =
+  let grid =
+    List.concat_map (fun c -> [ (c, false); (c, true) ]) Config.all
+  in
+  (* (transient faults?, profiled?, fuel, cell order) *)
+  let passes =
+    [
+      (true, false, fuel, grid);
+      (true, true, fuel, grid);
+      (true, true, 20_000, List.rev grid);
+      (false, true, 20_000, grid);
+      (true, true, fuel, List.rev grid);
+    ]
+  in
+  Fun.protect ~finally:Costprof.disable @@ fun () ->
+  List.iter
+    (fun mode ->
+      let tc = kernel mode 2024 in
+      let shared = Driver.prepare tc in
+      List.iter
+        (fun (noise, profiling, fuel, order) ->
+          if profiling then Costprof.enable () else Costprof.disable ();
+          List.iter
+            (fun ((c : Config.t), opt) ->
+              let label =
+                Printf.sprintf "%s on %d%c, fuel %d%s%s" (Gen_config.mode_name mode)
+                  c.Config.id (if opt then '+' else '-') fuel
+                  (if profiling then ", profiled" else "")
+                  (if noise then "" else ", no transient faults")
+              in
+              let run p = result_str (Driver.run_prepared_stats ~noise ~fuel c ~opt p) in
+              Alcotest.(check string) label (run (Driver.prepare tc)) (run shared))
+            order)
+        passes)
+    Gen_config.all_modes
+
 let prop_generated =
   QCheck.Test.make ~count:30 ~name:"engine = walker on a random cell"
     QCheck.(quad (int_bound 10_000) (int_bound 5) (int_bound 20) bool)
@@ -342,6 +395,7 @@ let () =
         [
           Alcotest.test_case "6 modes x 21 configs x 2 opt levels" `Quick
             test_generated;
+          Alcotest.test_case "run memo = fresh prepare per cell" `Quick test_run_memo;
           QCheck_alcotest.to_alcotest prop_generated;
         ] );
     ]

@@ -154,6 +154,59 @@ let test_task_seeds () =
   Alcotest.(check bool) "base matters" true
     (Task_seed.derive ~base:8 ~index:0 <> a)
 
+(* --- bounded classification --- *)
+
+(* The sequential generate-and-filter loop [Par.collect] stands for:
+   classify seeds from [seed0] on until the n-th acceptance. Returns the
+   accepted values, the rejection tags and the seeds classified. *)
+let sequential_collect ~n ~seed0 verdict =
+  let rec go seed acc rejects need =
+    if need = 0 then (List.rev acc, List.rev rejects, List.init (seed - seed0) (( + ) seed0))
+    else
+      match verdict seed with
+      | Par.Accept a -> go (seed + 1) (a :: acc) rejects (need - 1)
+      | Par.Reject r -> go (seed + 1) acc (r :: rejects) need
+  in
+  go seed0 [] [] n
+
+(* a random accept/reject pattern over the first seeds (every seed past
+   it accepts); [collect] must classify exactly the seeds the sequential
+   loop does, at every pool size, and return the same results *)
+let prop_collect_bounded pools =
+  QCheck.Test.make ~count:200 ~name:"collect classifies exactly the sequential seeds"
+    QCheck.(triple (int_range 0 12) (int_bound 1000) (list_of_size Gen.(0 -- 40) bool))
+    (fun (n, seed0, pattern) ->
+      let pattern = Array.of_list pattern in
+      let verdict seed =
+        let i = seed - seed0 in
+        if i < Array.length pattern && not pattern.(i) then Par.Reject (seed mod 3)
+        else Par.Accept (seed * 7)
+      in
+      let expected_acc, expected_rejects, expected_seeds =
+        sequential_collect ~n ~seed0 verdict
+      in
+      List.for_all
+        (fun pool ->
+          let m = Mutex.create () and seen = ref [] in
+          let classify ~seed =
+            Mutex.protect m (fun () -> seen := seed :: !seen);
+            verdict seed
+          in
+          let acc, rejects = Par.collect pool ~n ~seed0 ~classify in
+          let seen = List.sort compare !seen in
+          if seen <> expected_seeds then
+            QCheck.Test.fail_reportf "-j %d classified seeds [%s], expected [%s]"
+              (Pool.jobs pool)
+              (String.concat ";" (List.map string_of_int seen))
+              (String.concat ";" (List.map string_of_int expected_seeds));
+          acc = expected_acc && rejects = expected_rejects)
+        pools)
+
+let test_collect_bounded () =
+  Pool.with_pool ~jobs:1 @@ fun p1 ->
+  Pool.with_pool ~jobs:4 @@ fun p4 ->
+  QCheck.Test.check_exn (prop_collect_bounded [ p1; p4 ])
+
 (* --- the determinism property on real campaigns --- *)
 
 let campaign_table jobs =
@@ -214,6 +267,8 @@ let () =
           Alcotest.test_case "poisoning" `Quick test_memo_poisoning;
         ] );
       ("seeds", [ Alcotest.test_case "derivation" `Quick test_task_seeds ]);
+      ( "collect",
+        [ Alcotest.test_case "exactly the sequential seeds" `Quick test_collect_bounded ] );
       ( "determinism",
         [
           Alcotest.test_case "table4 -j independent" `Slow test_campaign_j_independent;

@@ -425,6 +425,85 @@ let test_resume_determinism () =
       Sys.remove ref_path)
     Spec.campaigns
 
+(* A resume takes each table4 kernel's prefilter verdict from its
+   journalled 1+ cell. In a traced run a prefilter run is an exec span
+   with no flow, and a cell's run one with the cell's index as flow (the
+   1+ cell reads the prefilter's run back from the prepared kernel's
+   memo); a seed the prefilter rejects has no cell, so only its prefilter
+   runs again. *)
+let test_resume_prefilter () =
+  let spec = resume_spec "table4" in
+  let header = Spec.header spec in
+  let traced_run ?resume ~jobs sink =
+    Span.reset ();
+    Span.enable ();
+    let text =
+      Fun.protect ~finally:Span.disable (fun () ->
+          summary_text (Spec.run_local ~jobs ~sink ?resume spec))
+    in
+    (text, List.filter (fun s -> s.Span.cat = "exec") (Span.drain ()))
+  in
+  let prefilter_runs spans =
+    List.length (List.filter (fun s -> s.Span.flow < 0) spans)
+  in
+  let cell_runs spans =
+    List.sort compare
+      (List.filter_map
+         (fun s -> if s.Span.flow >= 0 then Some s.Span.flow else None)
+         spans)
+  in
+  let ref_path = temp ".jsonl" in
+  let w = Journal.create ~path:ref_path header in
+  let collected = ref [] in
+  let t_ref, fresh =
+    traced_run ~jobs:1 (fun c ->
+        collected := c :: !collected;
+        Journal.write_cell w c)
+  in
+  Journal.commit w;
+  let ref_bytes = read_file ref_path in
+  let all_cells = List.rev !collected in
+  let n = List.length all_cells in
+  let executed = cell_runs fresh in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun jobs ->
+          let path = temp ".jsonl" in
+          let prefix = List.filteri (fun i _ -> i < k) all_cells in
+          write_journal path header prefix;
+          match Journal.resume ~path header with
+          | Error e -> Alcotest.fail (Journal.error_to_string e)
+          | Ok (w, replay) ->
+              let t, spans = traced_run ~resume:replay ~jobs (Journal.write_cell w) in
+              Journal.commit w;
+              let at what =
+                Printf.sprintf "resume from %d/%d at -j %d: %s" k n jobs what
+              in
+              Alcotest.(check string) (at "summary") t_ref t;
+              Alcotest.(check string) (at "journal bytes") ref_bytes (read_file path);
+              Alcotest.(check (list int)) (at "cells executed")
+                (List.filter (fun i -> i >= k) executed)
+                (cell_runs spans);
+              (* every journalled 1+ cell that executed spares its kernel's
+                 prefilter run *)
+              let read =
+                List.length
+                  (List.filter
+                     (fun (c : Journal.cell) ->
+                       c.config = 1 && c.opt = "+" && List.mem c.index executed)
+                     prefix)
+              in
+              Alcotest.(check int) (at "prefilter runs")
+                (prefilter_runs fresh - read) (prefilter_runs spans);
+              (* no seed of this spec fails the prefilter, so a complete
+                 journal leaves nothing to execute *)
+              if k = n then Alcotest.(check int) (at "exec spans") 0 (List.length spans);
+              Sys.remove path)
+        [ 1; 2 ])
+    [ n / 2; n ];
+  Sys.remove ref_path
+
 let () =
   Alcotest.run "store"
     [
@@ -450,5 +529,8 @@ let () =
             test_corpus_fsck;
         ] );
       ( "resume",
-        [ Alcotest.test_case "byte-identical from any prefix" `Slow test_resume_determinism ] );
+        [
+          Alcotest.test_case "byte-identical from any prefix" `Slow test_resume_determinism;
+          Alcotest.test_case "journalled prefilter verdicts" `Quick test_resume_prefilter;
+        ] );
     ]
