@@ -246,15 +246,9 @@ let scaling () =
     Journal.commit w;
     Sys.remove path;
     Span.disable ();
-    let spans = Span.drain () in
+    let stages = Span.stage_us (Span.drain ()) in
     let stage_s cat =
-      Int64.to_float
-        (List.fold_left
-           (fun acc (s : Span.t) ->
-             if String.equal s.Span.cat cat then Int64.add acc s.Span.dur_ns
-             else acc)
-           0L spans)
-      /. 1e9
+      float_of_int (Option.value ~default:0 (List.assoc_opt cat stages)) /. 1e6
     in
     let stages =
       Printf.sprintf
@@ -325,7 +319,7 @@ let dist () =
   in
   let sock = Filename.temp_file "bench_dist" ".sock" in
   Sys.remove sock;
-  let addr = Proto.Unix_sock sock in
+  let addr = Netaddr.Unix_sock sock in
   (* fleet telemetry rides along: per-worker attribution and the fleet
      rate come out of the same run that times the fabric *)
   let fleet = Fleet.create ~total ~now:(Mclock.now_ns ()) () in

@@ -215,25 +215,17 @@ let tag_of_cell (c : Journal.cell) =
       | Some o -> Outcome.short_tag o
       | None -> "ok")
 
-(* per-stage-category microseconds, for the Stage_timing event *)
-let stage_totals spans =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun (s : Span.t) ->
-      let us = Int64.to_int (Int64.div s.Span.dur_ns 1000L) in
-      Hashtbl.replace tbl s.Span.cat
-        (us + Option.value ~default:0 (Hashtbl.find_opt tbl s.Span.cat)))
-    spans;
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
 (* Arm span collection, the eventlog, the watchdog and the progress line
    around [k], then emit the requested telemetry files. [k] receives a
    sink wrapper that teaches a campaign's cell stream to drive the
    progress display and the eventlog, plus an event emitter for campaigns
-   that produce their own lifecycle events (fuzz). Telemetry never
-   touches stdout, the table or the journal; a file that cannot be
-   written fails the run only after the campaign itself finished. *)
-let with_telemetry ~telemetry:t ?fleet_groups ~header ~label ~total k =
+   that produce their own lifecycle events (fuzz). The run's one watchdog
+   polls [probe] (the local pool by default) and hands every event with
+   the emitter to [on_stall]. Telemetry never touches stdout, the table
+   or the journal; a file that cannot be written fails the run only
+   after the campaign itself finished. *)
+let with_telemetry ~telemetry:t ?fleet_groups ?probe
+    ?(on_stall = fun _ (_ : Watchdog.snapshot) -> ()) ~header ~label ~total k =
   if t.o_trace <> None then begin
     Span.reset ();
     Span.enable ()
@@ -311,7 +303,8 @@ let with_telemetry ~telemetry:t ?fleet_groups ~header ~label ~total k =
                      in_flight = s.Watchdog.in_flight;
                      stalled_domains = s.Watchdog.stalled_domains;
                      idle_ms = s.Watchdog.idle_ms;
-                   })
+                   });
+              on_stall emit_ev s
             in
             let abort =
               if t.o_wd_abort then
@@ -324,7 +317,9 @@ let with_telemetry ~telemetry:t ?fleet_groups ~header ~label ~total k =
                     Stdlib.exit 2)
               else None
             in
-            Some (Watchdog.start ~timeout_ms:(secs * 1000) ?abort ~on_event ())
+            Some
+              (Watchdog.start ~timeout_ms:(secs * 1000) ?probe ?abort ~on_event
+                 ())
       in
       let rc = k wrap emit_ev in
       (match wd with Some w -> Watchdog.stop w | None -> ());
@@ -360,7 +355,7 @@ let with_telemetry ~telemetry:t ?fleet_groups ~header ~label ~total k =
         | Some path ->
             Span.disable ();
             let spans = Span.drain () in
-            (match stage_totals spans with
+            (match Span.stage_us spans with
             | [] -> ()
             | stages -> emit_ev (Eventlog.Stage_timing stages));
             (* worker span buffers shipped over the fabric merge into
@@ -852,9 +847,9 @@ exception Dist_failed of string
 
 let addr_conv =
   let parse s =
-    match Proto.addr_of_string s with Ok a -> Ok a | Error e -> Error (`Msg e)
+    match Netaddr.of_string s with Ok a -> Ok a | Error e -> Error (`Msg e)
   in
-  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Proto.addr_to_string a))
+  Arg.conv (parse, fun ppf a -> Format.pp_print_string ppf (Netaddr.to_string a))
 
 let campaign_pos =
   Arg.(
@@ -954,7 +949,7 @@ let coordinate_cmd =
           match status with
           | None -> `Off
           | Some s -> (
-              match Proto.addr_of_string s with
+              match Netaddr.of_string s with
               | Ok a -> `Sock a
               | Error _ -> `File s)
         in
@@ -983,87 +978,51 @@ let coordinate_cmd =
           | None -> ());
           write_status ()
         in
+        (* what a stall looked like from the fabric, beside the
+           watchdog record: the eventlog's pool_health dimension with
+           fabric workers in place of pool domains, one per stale
+           worker, and the per-worker fleet snapshot, so the incident
+           names who was slow, not just that the fabric was *)
+        let on_stall ev (s : Watchdog.snapshot) =
+          List.iter
+            (fun w ->
+              ev
+                (Eventlog.Pool_health
+                   {
+                     worker = w;
+                     submitted = s.Watchdog.completed + s.Watchdog.in_flight;
+                     completed = s.Watchdog.completed;
+                     in_flight = s.Watchdog.in_flight;
+                     stalled_domains = s.Watchdog.stalled_domains;
+                   }))
+            s.Watchdog.stalled_domains;
+          let snap = fleet_snapshot () in
+          ev
+            (Eventlog.Fleet_health
+               {
+                 total = snap.Fleet.total;
+                 collected = snap.Fleet.collected;
+                 in_flight = snap.Fleet.in_flight;
+                 fleet_milli = snap.Fleet.fleet_milli;
+                 workers =
+                   List.map
+                     (fun (r : Fleet.row) ->
+                       {
+                         Eventlog.fw_worker = r.Fleet.worker;
+                         fw_cells = r.Fleet.cells;
+                         fw_rate_milli = r.Fleet.rate_milli;
+                         fw_last_ms = r.Fleet.last_ms;
+                         fw_alive = r.Fleet.alive;
+                         fw_straggler = r.Fleet.straggler;
+                       })
+                     snap.Fleet.rows;
+               })
+        in
         with_telemetry ~telemetry
           ~fleet_groups:(fun () -> Fleet.span_groups fleet)
-          ~header ~label:("dist-" ^ campaign) ~total
+          ~probe:(Coordinator.probe mon) ~on_stall ~header
+          ~label:("dist-" ^ campaign) ~total
         @@ fun wrap ev ->
-        let dist_wd =
-          match telemetry.o_wd_timeout with
-          | None -> None
-          | Some secs ->
-              let on_event level (s : Watchdog.snapshot) =
-                warn
-                  "watchdog %s: fabric made no progress for %d ms (%d cells \
-                   collected, %d leases in flight%s)"
-                  (Watchdog.level_name level)
-                  s.Watchdog.idle_ms s.Watchdog.completed s.Watchdog.in_flight
-                  (match s.Watchdog.stalled_domains with
-                  | [] -> ""
-                  | ws ->
-                      Printf.sprintf ", stale workers %s"
-                        (String.concat "," (List.map string_of_int ws)));
-                ev
-                  (Eventlog.Watchdog
-                     {
-                       level = Watchdog.level_name level;
-                       completed = s.Watchdog.completed;
-                       in_flight = s.Watchdog.in_flight;
-                       stalled_domains = s.Watchdog.stalled_domains;
-                       idle_ms = s.Watchdog.idle_ms;
-                     });
-                (* one worker-tagged health snapshot per stale worker: the
-                   eventlog's pool_health dimension, with fabric workers in
-                   place of pool domains (monitoring-only, like all
-                   nondeterministic events) *)
-                List.iter
-                  (fun w ->
-                    ev
-                      (Eventlog.Pool_health
-                         {
-                           worker = w;
-                           submitted = s.Watchdog.completed + s.Watchdog.in_flight;
-                           completed = s.Watchdog.completed;
-                           in_flight = s.Watchdog.in_flight;
-                           stalled_domains = s.Watchdog.stalled_domains;
-                         }))
-                  s.Watchdog.stalled_domains;
-                (* the per-worker fleet snapshot the watchdog saw, so the
-                   incident names who was slow, not just that the fabric
-                   was *)
-                let snap = fleet_snapshot () in
-                ev
-                  (Eventlog.Fleet_health
-                     {
-                       total = snap.Fleet.total;
-                       collected = snap.Fleet.collected;
-                       in_flight = snap.Fleet.in_flight;
-                       fleet_milli = snap.Fleet.fleet_milli;
-                       workers =
-                         List.map
-                           (fun (r : Fleet.row) ->
-                             {
-                               Eventlog.fw_worker = r.Fleet.worker;
-                               fw_cells = r.Fleet.cells;
-                               fw_rate_milli = r.Fleet.rate_milli;
-                               fw_last_ms = r.Fleet.last_ms;
-                               fw_alive = r.Fleet.alive;
-                               fw_straggler = r.Fleet.straggler;
-                             })
-                           snap.Fleet.rows;
-                     })
-              in
-              let abort =
-                if telemetry.o_wd_abort then
-                  Some
-                    (fun (_ : Watchdog.snapshot) ->
-                      report "watchdog: stalled fabric aborted";
-                      Stdlib.exit 2)
-                else None
-              in
-              Some
-                (Watchdog.start ~timeout_ms:(secs * 1000)
-                   ~probe:(Coordinator.probe mon) ?abort ~on_event ())
-        in
         let progress_step = max 1 (total / 10) in
         let on_event = function
           | Coordinator.Worker_joined w -> report "worker %d joined" w
@@ -1086,90 +1045,86 @@ let coordinate_cmd =
            workers already did; it is dropped once the real (ordered)
            journal commits *)
         let scratch = Option.map (fun p -> p ^ ".dist") journal in
-        let rc =
-          match
-            try
-              with_journal ~header ~journal ~resume (fun sink cells ->
-                  let sw, salvaged =
-                    match scratch with
-                    | None -> (None, [])
-                    | Some path when resume -> (
-                        match Journal.append ~path header with
-                        | Ok (w, cs) -> (Some w, cs)
-                        | Error e ->
-                            raise (Dist_failed (Journal.error_to_string e)))
-                    | Some path -> (
-                        match Journal.create ~path header with
-                        | w -> (Some w, [])
-                        | exception Sys_error m -> raise (Dist_failed m))
-                  in
-                  (* resumed/salvaged cells were produced locally (or in a
-                     prior life): they are this process's contribution, so
-                     worker cells + local cells still sum to the grid *)
-                  let prefilled = List.length cells + List.length salvaged in
-                  counts := (prefilled, 0);
-                  Fleet.note_local fleet prefilled;
-                  let fprog =
-                    if telemetry.o_progress then
-                      Some
-                        (Progress.create ~label:("fleet-" ^ campaign)
-                           ~start:prefilled ~total ())
-                    else None
-                  in
-                  let on_cell c =
-                    (match fprog with
-                    | Some p -> Progress.step p ~tag:(tag_of_cell c)
-                    | None -> ());
-                    match sw with
-                    | None -> ()
-                    | Some w -> Journal.write_cell w c
-                  in
-                  write_status ~force:true ();
-                  let collected =
-                    match
-                      try
-                        Coordinator.serve ~addr ~spec ~workers ?chunk
-                          ~lease_ttl_ms:(ttl * 1000)
-                          ~resume:(cells @ salvaged) ~monitor:mon ~fleet
-                          ~telemetry:(telemetry.o_trace <> None)
-                          ?status_addr ~status_payload:fleet_line ~on_tick
-                          ~on_event ~on_cell ()
-                      with Unix.Unix_error (e, fn, _) ->
-                        Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-                    with
-                    | Ok collected -> collected
-                    | Error e -> raise (Dist_failed e)
-                  in
-                  (match fprog with Some p -> Progress.finish p | None -> ());
-                  (match sw with Some w -> Journal.commit w | None -> ());
-                  phase := "merge";
-                  counts := (List.length collected, 0);
-                  Fleet.note_local fleet (total - List.length collected);
-                  write_status ~force:true ();
-                  (* the deterministic merge IS an ordinary local run that
-                     replays every collected cell — and executes whatever
-                     the fabric failed to deliver *)
-                  let r =
-                    Spec.run_local ~jobs ?sink:(wrap sink) ~events:ev
-                      ~resume:collected spec
-                  in
-                  phase := "done";
-                  counts := (total, 0);
-                  write_status ~force:true ();
-                  r)
-            with Dist_failed m -> Error m
-          with
-          | Error m -> fail "%s" m
-          | Ok r ->
-              (* the ordered journal is committed; the scratch is now
-                 redundant *)
-              Option.iter
-                (fun p -> try Sys.remove p with Sys_error _ -> ())
-                scratch;
-              emit out (report_of r)
-        in
-        (match dist_wd with Some w -> Watchdog.stop w | None -> ());
-        rc
+        match
+          try
+            with_journal ~header ~journal ~resume (fun sink cells ->
+                let sw, salvaged =
+                  match scratch with
+                  | None -> (None, [])
+                  | Some path when resume -> (
+                      match Journal.append ~path header with
+                      | Ok (w, cs) -> (Some w, cs)
+                      | Error e ->
+                          raise (Dist_failed (Journal.error_to_string e)))
+                  | Some path -> (
+                      match Journal.create ~path header with
+                      | w -> (Some w, [])
+                      | exception Sys_error m -> raise (Dist_failed m))
+                in
+                (* resumed/salvaged cells were produced locally (or in a
+                   prior life): they are this process's contribution, so
+                   worker cells + local cells still sum to the grid *)
+                let prefilled = List.length cells + List.length salvaged in
+                counts := (prefilled, 0);
+                Fleet.note_local fleet prefilled;
+                let fprog =
+                  if telemetry.o_progress then
+                    Some
+                      (Progress.create ~label:("fleet-" ^ campaign)
+                         ~start:prefilled ~total ())
+                  else None
+                in
+                let on_cell c =
+                  (match fprog with
+                  | Some p -> Progress.step p ~tag:(tag_of_cell c)
+                  | None -> ());
+                  match sw with
+                  | None -> ()
+                  | Some w -> Journal.write_cell w c
+                in
+                write_status ~force:true ();
+                let collected =
+                  match
+                    try
+                      Coordinator.serve ~addr ~spec ~workers ?chunk
+                        ~lease_ttl_ms:(ttl * 1000)
+                        ~resume:(cells @ salvaged) ~monitor:mon ~fleet
+                        ~telemetry:(telemetry.o_trace <> None)
+                        ?status_addr ~status_payload:fleet_line ~on_tick
+                        ~on_event ~on_cell ()
+                    with Unix.Unix_error (e, fn, _) ->
+                      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+                  with
+                  | Ok collected -> collected
+                  | Error e -> raise (Dist_failed e)
+                in
+                (match fprog with Some p -> Progress.finish p | None -> ());
+                (match sw with Some w -> Journal.commit w | None -> ());
+                phase := "merge";
+                counts := (List.length collected, 0);
+                Fleet.note_local fleet (total - List.length collected);
+                write_status ~force:true ();
+                (* the deterministic merge IS an ordinary local run that
+                   replays every collected cell — and executes whatever
+                   the fabric failed to deliver *)
+                let r =
+                  Spec.run_local ~jobs ?sink:(wrap sink) ~events:ev
+                    ~resume:collected spec
+                in
+                phase := "done";
+                counts := (total, 0);
+                write_status ~force:true ();
+                r)
+          with Dist_failed m -> Error m
+        with
+        | Error m -> fail "%s" m
+        | Ok r ->
+            (* the ordered journal is committed; the scratch is now
+               redundant *)
+            Option.iter
+              (fun p -> try Sys.remove p with Sys_error _ -> ())
+              scratch;
+            emit out (report_of r)
   in
   Cmd.v
     (Cmd.info "coordinate"
@@ -1224,38 +1179,33 @@ let status_cmd =
     with Sys_error m -> Error m
   in
   let read_sock addr =
-    match Proto.sockaddr_of addr with
+    match Netaddr.connect addr with
     | Error e -> Error e
-    | Ok sa -> (
-        let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+    | Ok fd ->
         Fun.protect
           ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
           (fun () ->
-            match Unix.connect fd sa with
-            | exception Unix.Unix_error (e, _, _) ->
-                Error (Unix.error_message e)
-            | () ->
-                let b = Buffer.create 4096 in
-                let buf = Bytes.create 4096 in
-                let rec drain () =
-                  match Unix.read fd buf 0 (Bytes.length buf) with
-                  | 0 -> ()
-                  | n ->
-                      Buffer.add_subbytes b buf 0 n;
-                      drain ()
-                  | exception Unix.Unix_error _ -> ()
-                in
-                drain ();
-                (match String.index_opt (Buffer.contents b) '\n' with
-                | Some i -> Ok (String.sub (Buffer.contents b) 0 i)
-                | None ->
-                    if Buffer.length b > 0 then Ok (Buffer.contents b)
-                    else Error "empty status reply")))
+            let b = Buffer.create 4096 in
+            let buf = Bytes.create 4096 in
+            let rec drain () =
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> ()
+              | n ->
+                  Buffer.add_subbytes b buf 0 n;
+                  drain ()
+              | exception Unix.Unix_error _ -> ()
+            in
+            drain ();
+            match String.index_opt (Buffer.contents b) '\n' with
+            | Some i -> Ok (String.sub (Buffer.contents b) 0 i)
+            | None ->
+                if Buffer.length b > 0 then Ok (Buffer.contents b)
+                else Error "empty status reply")
   in
   let fetch target =
     (* same address grammar as --status: if it parses as an endpoint it
        is one; anything else is a snapshot file *)
-    match Proto.addr_of_string target with
+    match Netaddr.of_string target with
     | Ok a -> read_sock a
     | Error _ -> read_file target
   in
@@ -1409,7 +1359,7 @@ let serve_cmd =
               with Sys_error m -> fail "%s" m)
         in
         report "serving on %s (journal %s: %d kernels, %d cells)"
-          (Proto.addr_to_string listen)
+          (Netaddr.to_string listen)
           state
           (Svstore.kernel_count store)
           (Svstore.cell_count store);
@@ -1536,13 +1486,6 @@ let client_execute ~addr ~configs (e : Corpus.entry) text =
                   note = "";
                 }
               in
-              let cls =
-                match Majority.bucket_of ~majority outcome with
-                | Majority.B_wrong -> Some "wrong-code"
-                | Majority.B_bf -> Some "build-failure"
-                | Majority.B_crash -> Some "crash"
-                | Majority.B_ok | Majority.B_timeout -> None
-              in
               let obs =
                 Option.map
                   (fun cls ->
@@ -1555,7 +1498,7 @@ let client_execute ~addr ~configs (e : Corpus.entry) text =
                       o_mode = e.Corpus.mode;
                       o_hash = e.Corpus.hash;
                     })
-                  cls
+                  (Majority.bucket_class (Majority.bucket_of ~majority outcome))
               in
               (cell, obs, cov))
             runs
@@ -1572,7 +1515,7 @@ let client_execute ~addr ~configs (e : Corpus.entry) text =
 
 let client_cmd =
   let run action addr retries count mode seed_base max_claims configs out =
-    let addr_s = Proto.addr_to_string addr in
+    let addr_s = Netaddr.to_string addr in
     let get path =
       match Sclient.get ~addr ~retries path with
       | Error m -> Error m

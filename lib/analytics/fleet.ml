@@ -99,16 +99,13 @@ type wstate = {
   mutable alive : bool;
   mutable cells : int;
   mutable last_ns : int64;
-  (* windowed EWMA over fresh streamed cells: cells accumulate into the
-     current window and fold into the rate once the window is old
-     enough — burst arrival inside one socket drain cannot inflate the
-     estimate the way per-cell inter-arrival deltas would *)
-  mutable win_start : int64;
-  mutable win_cells : int;
-  mutable rate_milli : int;
+  (* fresh streamed cells sampled once a second: a burst arriving inside
+     one socket drain cannot inflate the rate the way per-cell
+     inter-arrival deltas would *)
+  rate : int Series.t;
   mutable beat : beat option;
   mutable leases : (int * int64) list;  (** lease id -> grant time *)
-  mutable lease_ms : int list;  (** recent latencies, newest first *)
+  lease_ms : int Series.t;  (** recent grant-to-done latencies *)
   mutable spans_rev : Span.t list;
   metrics_seen : (string, int) Hashtbl.t;
   mutable frames_in : int;
@@ -130,7 +127,6 @@ type t = {
 let default_stale_ms = 10_000
 let default_straggler_pct = 50
 let lease_window = 64
-let win_ns = 1_000_000_000L
 
 let create ?(stale_ms = default_stale_ms)
     ?(straggler_pct = default_straggler_pct) ~total ~now () =
@@ -160,12 +156,10 @@ let state t ~worker ~now =
           alive = true;
           cells = 0;
           last_ns = now;
-          win_start = now;
-          win_cells = 0;
-          rate_milli = 0;
+          rate = Series.rate_window ();
           beat = None;
           leases = [];
-          lease_ms = [];
+          lease_ms = Series.create ~capacity:lease_window ~interval_ns:0L;
           spans_rev = [];
           metrics_seen = Hashtbl.create 32;
           frames_in = 0;
@@ -177,19 +171,10 @@ let state t ~worker ~now =
       Hashtbl.replace t.workers worker st;
       st
 
-(* fold the elapsed window into the rate once it is at least one
-   window long; a long idle gap folds as one long empty window, which
-   decays the estimate — exactly the straggler signal we want *)
-let roll st now =
-  let elapsed = Int64.sub now st.win_start in
-  if Int64.compare elapsed win_ns >= 0 then begin
-    let ms = Int64.to_int (Int64.div elapsed 1_000_000L) in
-    let inst = if ms <= 0 then 0 else st.win_cells * 1_000_000 / ms in
-    st.rate_milli <-
-      (if st.rate_milli = 0 then inst else ((st.rate_milli * 7) + (inst * 3)) / 10);
-    st.win_cells <- 0;
-    st.win_start <- now
-  end
+(* every sign of life samples the cell count, so an idle worker's rate
+   falls to 0 once its last cell leaves the window — exactly the
+   straggler signal we want *)
+let sample st now = Series.push st.rate ~now st.cells
 
 let on_join t ~worker ~pid ~host ~now =
   locked t (fun () ->
@@ -210,25 +195,19 @@ let on_beat t ~worker ~now b =
       let st = state t ~worker ~now in
       st.last_ns <- now;
       (match b with Some _ -> st.beat <- b | None -> ());
-      roll st now)
+      sample st now)
 
 let on_cell t ~worker ~now =
   locked t (fun () ->
       let st = state t ~worker ~now in
       st.cells <- st.cells + 1;
-      st.win_cells <- st.win_cells + 1;
       st.last_ns <- now;
-      roll st now)
+      sample st now)
 
 let on_lease t ~worker ~lease_id ~cells:_ ~now =
   locked t (fun () ->
       let st = state t ~worker ~now in
       st.leases <- (lease_id, now) :: List.remove_assoc lease_id st.leases)
-
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
 
 let lease_hist = lazy (Metrics.histogram "fleet.lease_ms")
 
@@ -243,7 +222,7 @@ let on_done t ~worker ~lease_id ~now =
           let ms =
             Int64.to_int (Int64.div (Int64.sub now granted) 1_000_000L)
           in
-          st.lease_ms <- take lease_window (ms :: st.lease_ms);
+          Series.push st.lease_ms ~now ms;
           Metrics.observe (Lazy.force lease_hist) ms)
 
 let on_metrics t ~worker counters =
@@ -329,24 +308,18 @@ type snapshot = {
   rows : row list;
 }
 
-let list_percentile sorted p =
-  match sorted with
-  | [] -> 0
-  | _ ->
-      let n = List.length sorted in
-      let rank = max 1 ((p * n) + 99) / 100 in
-      List.nth sorted (min (n - 1) (rank - 1))
-
-(* the coordinator-side EWMA sees fresh cells even from old-protocol
-   workers; when it has not warmed up yet, trust the worker's own *)
-let effective_rate (st : wstate) =
-  if st.rate_milli > 0 then st.rate_milli
-  else match st.beat with Some b -> b.ewma_milli | None -> 0
+(* the coordinator-side rate sees fresh cells even from old-protocol
+   workers; while it reads 0, trust the worker's own *)
+let effective_rate (st : wstate) now =
+  match Series.rate_milli st.rate ~now st.cells with
+  | 0 -> ( match st.beat with Some b -> b.ewma_milli | None -> 0)
+  | r -> r
 
 let snapshot t ~now ~collected ~in_flight =
   locked t (fun () ->
       let states = sorted_states t in
-      List.iter (fun st -> roll st now) states;
+      List.iter (fun st -> sample st now) states;
+      let effective_rate st = effective_rate st now in
       let rates =
         List.filter_map
           (fun (st : wstate) ->
@@ -373,7 +346,9 @@ let snapshot t ~now ~collected ~in_flight =
       let rows =
         List.map
           (fun (st : wstate) ->
-            let sorted_lat = List.sort compare st.lease_ms in
+            let lease_pct p =
+              Option.value ~default:0 (Series.percentile st.lease_ms p)
+            in
             {
               worker = st.w;
               host = st.host;
@@ -387,8 +362,8 @@ let snapshot t ~now ~collected ~in_flight =
                 (match st.beat with Some b -> b.queue_depth | None -> 0);
               rss_kb = (match st.beat with Some b -> b.rss_kb | None -> 0);
               leases = List.length st.leases;
-              lease_p50_ms = list_percentile sorted_lat 50;
-              lease_p90_ms = list_percentile sorted_lat 90;
+              lease_p50_ms = lease_pct 50;
+              lease_p90_ms = lease_pct 90;
               last_ms =
                 Int64.to_int
                   (Int64.div (Int64.sub now st.last_ns) 1_000_000L);
@@ -412,19 +387,11 @@ let snapshot t ~now ~collected ~in_flight =
         else -1
       in
       let stage_us =
-        let tbl = Hashtbl.create 8 in
-        List.iter
-          (fun (st : wstate) ->
-            match st.beat with
-            | None -> ()
-            | Some b ->
-                List.iter
-                  (fun (cat, us) ->
-                    Hashtbl.replace tbl cat
-                      (us + Option.value ~default:0 (Hashtbl.find_opt tbl cat)))
-                  b.stage_us)
-          states;
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+        Span.tally
+          (List.concat_map
+             (fun (st : wstate) ->
+               match st.beat with None -> [] | Some b -> b.stage_us)
+             states)
       in
       {
         total = t.total;
@@ -596,13 +563,6 @@ let snapshot_of_line line =
 
 let rate_string milli = Printf.sprintf "%d.%d" (milli / 1000) (milli mod 1000 / 100)
 
-let duration_string ms =
-  if ms < 0 then "?"
-  else if ms >= 3_600_000 then Printf.sprintf "%.1fh" (float_of_int ms /. 3.6e6)
-  else if ms >= 60_000 then Printf.sprintf "%.1fm" (float_of_int ms /. 6e4)
-  else if ms >= 1_000 then Printf.sprintf "%.1fs" (float_of_int ms /. 1e3)
-  else Printf.sprintf "%dms" ms
-
 let bytes_string b =
   if b >= 1_048_576 then Printf.sprintf "%.1fMB" (float_of_int b /. 1048576.)
   else if b >= 1024 then Printf.sprintf "%.1fkB" (float_of_int b /. 1024.)
@@ -616,8 +576,8 @@ let to_table ~campaign ~phase s =
         elapsed %s\n"
        campaign phase s.collected s.total s.in_flight
        (rate_string s.fleet_milli)
-       (if s.eta_ms < 0 then "?" else duration_string s.eta_ms)
-       (duration_string s.elapsed_ms));
+       (Mclock.duration_string s.eta_ms)
+       (Mclock.duration_string s.elapsed_ms));
   Buffer.add_string b
     (Printf.sprintf "%6s  %-16s %7s  %-9s %7s %8s %6s %7s %7s %14s %7s %17s\n"
        "worker" "host" "pid" "state" "cells" "cells/s" "queue" "rss_mb"
@@ -634,9 +594,9 @@ let to_table ~campaign ~phase s =
            r.cells (rate_string r.rate_milli) r.queue_depth (r.rss_kb / 1024)
            r.leases
            (Printf.sprintf "%s/%s"
-              (duration_string r.lease_p50_ms)
-              (duration_string r.lease_p90_ms))
-           (duration_string r.last_ms)
+              (Mclock.duration_string r.lease_p50_ms)
+              (Mclock.duration_string r.lease_p90_ms))
+           (Mclock.duration_string r.last_ms)
            (Printf.sprintf "%s/%s" (bytes_string r.bytes_in)
               (bytes_string r.bytes_out))))
     s.rows;
@@ -654,7 +614,7 @@ let to_table ~campaign ~phase s =
            (String.concat "  "
               (List.map
                  (fun (cat, us) ->
-                   Printf.sprintf "%s %s" cat (duration_string (us / 1000)))
+                   Printf.sprintf "%s %s" cat (Mclock.duration_string (us / 1000)))
                  stages))));
   if s.local_cells > 0 then
     Buffer.add_string b

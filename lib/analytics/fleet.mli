@@ -9,10 +9,11 @@
     from other threads — every operation takes an internal mutex.
 
     Two throughput estimates coexist per worker: the coordinator-side
-    windowed EWMA over {e fresh} streamed cells (survives an
-    old-protocol worker that sends bare beats) and the worker's own
-    self-reported EWMA from its stats beat. {!snapshot} prefers the
-    coordinator-side figure and falls back to the beat's.
+    rate of {e fresh} streamed cells (survives an old-protocol worker
+    that sends bare beats) and the worker's own self-reported rate from
+    its stats beat. Both are the growth over a few one-second samples
+    ({!Series.rate_window}). {!snapshot} prefers the coordinator-side
+    figure and falls back to the beat's while it reads 0.
 
     Straggler rule: a live worker holding a lease whose heartbeat went
     stale (it stopped beating mid-lease), or — once at least two
@@ -22,7 +23,9 @@
 (** One stats-carrying heartbeat, as shipped inside [Proto.Beat]. *)
 type beat = {
   completed : int;  (** cells executed by the worker so far *)
-  ewma_milli : int;  (** self-measured throughput, milli-cells/s *)
+  ewma_milli : int;
+      (** self-measured throughput, milli-cells/s ({!Series.rate_milli};
+          the member keeps its original wire name) *)
   queue_depth : int;  (** local pool tasks in flight *)
   rss_kb : int;  (** resident set size; 0 when unknown *)
   stage_us : (string * int) list;
@@ -59,13 +62,13 @@ val on_beat : t -> worker:int -> now:int64 -> beat option -> unit
 
 val on_cell : t -> worker:int -> now:int64 -> unit
 (** One fresh cell streamed by [worker] (duplicates excluded), feeding
-    the coordinator-side throughput EWMA and per-worker cell count. *)
+    the coordinator-side throughput rate and per-worker cell count. *)
 
 val on_lease : t -> worker:int -> lease_id:int -> cells:int -> now:int64 -> unit
 val on_done : t -> worker:int -> lease_id:int -> now:int64 -> unit
 (** Lease closed: grant-to-done latency lands in the worker's rolling
-    latency window and the global ["fleet.lease_ms"] {!Metrics}
-    histogram. *)
+    window of its last 64 leases and the global ["fleet.lease_ms"]
+    {!Metrics} histogram. *)
 
 val on_metrics : t -> worker:int -> (string * int) list -> unit
 (** A worker's cumulative counter snapshot (shipped on [Done]): deltas

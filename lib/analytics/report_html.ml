@@ -114,16 +114,9 @@ let hits_of_cells cells =
         (fun (c : Journal.cell) ->
           List.filter_map
             (fun (opt, o) ->
-              let cls =
-                match Majority.bucket_of ~majority o with
-                | Majority.B_wrong -> Some "wrong-code"
-                | Majority.B_bf -> Some "build-failure"
-                | Majority.B_crash -> Some "crash"
-                | Majority.B_ok | Majority.B_timeout -> None
-              in
               Option.map
                 (fun cls -> (cls, c.Journal.config, opt, "?", seed))
-                cls)
+                (Majority.bucket_class (Majority.bucket_of ~majority o)))
             (cell_outcomes c))
         cs)
     (kernel_groups cells)
@@ -500,25 +493,17 @@ ol.path { margin: .3em 0 .3em 1em; }
 code { background: #f6f8fa; padding: 0 .25em; border-radius: 3px; }
 |css}
 
-type history_sample = {
-  ts_ms : int;
-  requests : int;
-  shed : int;
-  p50_us : int;
-  p99_us : int;
-}
-
 (* serve-daemon time series: throughput from the per-interval request
    delta, latency from the sampled p50/p99 *)
-let history_panel (samples : history_sample list) =
+let history_panel (samples : Svhistory.sample list) =
   match samples with
   | [] | [ _ ] -> ""
   | samples ->
-      let t_s s = float_of_int s.ts_ms /. 1000. in
-      let rec deltas prev = function
+      let t_s (s : Svhistory.sample) = float_of_int s.t_ms /. 1000. in
+      let rec deltas (prev : Svhistory.sample) = function
         | [] -> []
-        | s :: tl ->
-            let dt = float_of_int (s.ts_ms - prev.ts_ms) /. 1000. in
+        | (s : Svhistory.sample) :: tl ->
+            let dt = float_of_int (s.t_ms - prev.t_ms) /. 1000. in
             let dr = float_of_int (s.requests - prev.requests) in
             (t_s s, if dt > 0. then dr /. dt else 0.) :: deltas s tl
       in

@@ -20,28 +20,20 @@
       mutation operators → triage bucket) reconstructed by {!Lineage}
       from fuzz journal provenance, plus mutation-operator counts. *)
 
-type history_sample = {
-  ts_ms : int;  (** sample time, ms since the serving process started *)
-  requests : int;  (** cumulative requests at sample time *)
-  shed : int;  (** cumulative shed connections at sample time *)
-  p50_us : int;  (** request latency p50; -1 = no requests yet *)
-  p99_us : int;  (** request latency p99; -1 = no requests yet *)
-}
-(** One serve-daemon metrics snapshot (see [Svhistory] in lib/serve);
-    the report derives throughput from consecutive request deltas. *)
-
 val render :
   header:Journal.header ->
   cells:Journal.cell list ->
   ?truncated:bool ->
   ?events:Eventlog.event list ->
-  ?history:history_sample list ->
+  ?history:Svhistory.sample list ->
   unit ->
   string
 (** The complete HTML document. [truncated] marks a journal whose torn
     final line was discarded; [events] is the loaded eventlog (empty or
-    absent is fine — event-driven sections are skipped); [history] adds
-    the serve throughput/latency-over-time panel when non-trivial. *)
+    absent is fine — event-driven sections are skipped); [history], the
+    serve daemon's {!Svhistory} samples, adds its throughput (from
+    consecutive request deltas) and latency-over-time panel when it
+    holds two samples or more. *)
 
 val summary :
   header:Journal.header ->

@@ -7,34 +7,19 @@ type sample = {
   p99_us : int;
 }
 
-type t = {
-  capacity : int;
-  ring : sample option array;
-  mutable next : int;  (* total pushes; next slot = next mod capacity *)
-}
+type t = sample Series.t
 
 let create ?(capacity = 512) () =
-  let capacity = max 1 capacity in
-  { capacity; ring = Array.make capacity None; next = 0 }
+  Series.create ~capacity ~interval_ns:1_000_000_000L
 
-let push t s =
-  t.ring.(t.next mod t.capacity) <- Some s;
-  t.next <- t.next + 1
-
-let samples t =
-  let n = min t.next t.capacity in
-  let first = t.next - n in
-  List.init n (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
-      | Some s -> s
-      | None -> assert false)
+let samples t = List.map snd (Series.samples t)
 
 let to_json t =
   let ss = samples t in
   Jsonl.Obj
     [
       ("count", Jsonl.Int (List.length ss));
-      ("capacity", Jsonl.Int t.capacity);
+      ("capacity", Jsonl.Int (Series.capacity t));
       ( "samples",
         Jsonl.List
           (List.map

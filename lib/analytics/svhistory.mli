@@ -1,11 +1,12 @@
 (** Bounded ring of periodic serve-daemon metrics snapshots.
 
-    The server pushes one sample per second from its tick loop; the
-    ring keeps the most recent [capacity] samples (default 512, ~8.5
-    minutes at 1 Hz) and drops the oldest beyond that, so the daemon's
-    memory stays bounded over arbitrarily long runs. [GET
-    /metrics/history] serves {!to_json}; {!Report_html} renders the
-    throughput/latency panels from the same samples. *)
+    The server pushes at most one sample per second from its tick loop
+    (a {!Series} one second apart); the ring keeps the most recent
+    [capacity] samples (default 512, ~8.5 minutes at 1 Hz) and drops
+    the oldest beyond that, so the daemon's memory stays bounded over
+    arbitrarily long runs. [GET /metrics/history] serves {!to_json};
+    {!Report_html} charts the throughput/latency panels from
+    {!samples}. *)
 
 type sample = {
   t_ms : int;  (** milliseconds since the server started *)
@@ -16,10 +17,9 @@ type sample = {
   p99_us : int;  (** request latency p99 so far; -1 before any request *)
 }
 
-type t
+type t = sample Series.t
 
 val create : ?capacity:int -> unit -> t
-val push : t -> sample -> unit
 
 val samples : t -> sample list
 (** Oldest first. *)

@@ -26,8 +26,12 @@ let with_mon mon f =
   Fun.protect ~finally:(fun () -> Mutex.unlock mon.mm) (fun () -> f mon)
 
 let probe mon () =
-  with_mon mon (fun m ->
-      if m.live then Some (m.completed, m.in_flight, m.beats) else None)
+  match
+    with_mon mon (fun m ->
+        if m.live then Some (m.completed, m.in_flight, m.beats) else None)
+  with
+  | None -> Watchdog.pool_probe ()
+  | live -> live
 
 let publish mon tracker =
   let beats =
@@ -63,14 +67,7 @@ type conn = {
 let send_msg conn msg =
   let payload = Proto.encode msg in
   Wire.count_out conn.out (String.length payload);
-  let bytes = Wire.frame payload in
-  let n = String.length bytes in
-  let written = ref 0 in
-  while !written < n do
-    written :=
-      !written
-      + Unix.write_substring conn.fd bytes !written (n - !written)
-  done
+  Netaddr.write_all conn.fd (Wire.frame payload)
 
 let sync_batch = 500
 
@@ -266,15 +263,7 @@ let serve ~addr ~spec ~workers ?chunk ?(lease_ttl_ms = default_ttl_ms) ?resume
             | cfd, _ ->
                 (* one snapshot line per connection, HTTP-free: curl or
                    `campaign status` reads to EOF *)
-                let line = status_payload () ^ "\n" in
-                let n = String.length line in
-                let written = ref 0 in
-                (try
-                   while !written < n do
-                     written :=
-                       !written
-                       + Unix.write_substring cfd line !written (n - !written)
-                   done
+                (try Netaddr.write_all cfd (status_payload () ^ "\n")
                  with Unix.Unix_error _ -> ());
                 (try Unix.close cfd with Unix.Unix_error _ -> ()))
       in
@@ -328,18 +317,11 @@ let serve ~addr ~spec ~workers ?chunk ?(lease_ttl_ms = default_ttl_ms) ?resume
           conns;
         Hashtbl.reset conns;
         (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        (match addr with
-        | Proto.Unix_sock path ->
-            (try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-        | Proto.Tcp _ -> ());
-        (match status_fd with
-        | Some sfd -> (
-            (try Unix.close sfd with Unix.Unix_error _ -> ());
-            match status_addr with
-            | Some (Proto.Unix_sock path) -> (
-                try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-            | _ -> ())
-        | None -> ());
+        Netaddr.cleanup addr;
+        Option.iter
+          (fun sfd -> try Unix.close sfd with Unix.Unix_error _ -> ())
+          status_fd;
+        Option.iter Netaddr.cleanup status_addr;
         Option.iter (fun m -> with_mon m (fun m -> m.live <- false)) mon
       in
       let rec loop () =

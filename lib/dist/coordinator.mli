@@ -33,13 +33,15 @@ type monitor
 val monitor : unit -> monitor
 
 val probe : monitor -> Watchdog.probe
-(** [completed] is collected cells, [in_flight] live leases, and the
-    heartbeat list carries [(worker_id, last_beat_ns)] — so a stall
-    report names stale {e workers}, not pool domains. [None] outside
-    {!serve}. *)
+(** The one watchdog probe of a coordinated run. While {!serve} runs
+    with this monitor, [completed] is collected cells, [in_flight] live
+    leases, and the heartbeat list carries [(worker_id, last_beat_ns)] —
+    so a stall report names stale {e workers}, not pool domains.
+    Outside it, the local pool's {!Watchdog.pool_probe}: the merge that
+    follows the fabric, or [None] when no pool is alive. *)
 
 val serve :
-  addr:Proto.addr ->
+  addr:Netaddr.t ->
   spec:Spec.t ->
   workers:int ->
   ?chunk:int ->
@@ -48,7 +50,7 @@ val serve :
   ?monitor:monitor ->
   ?fleet:Fleet.t ->
   ?telemetry:bool ->
-  ?status_addr:Proto.addr ->
+  ?status_addr:Netaddr.t ->
   ?status_payload:(unit -> string) ->
   ?on_tick:(int64 -> unit) ->
   ?on_event:(event -> unit) ->

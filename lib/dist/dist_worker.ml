@@ -9,16 +9,6 @@ let default_beat_ms = 1000
 
 exception Fail of string
 
-let write_all fd bytes =
-  let n = String.length bytes in
-  let written = ref 0 in
-  try
-    while !written < n do
-      written := !written + Unix.write_substring fd bytes !written (n - !written)
-    done
-  with Unix.Unix_error (err, _, _) ->
-    raise (Fail (Printf.sprintf "send: %s" (Unix.error_message err)))
-
 (* blocking read of the next protocol message *)
 let recv fd dec buf =
   let rec go () =
@@ -44,15 +34,14 @@ let connect ~addr ~retries =
   | Ok fd -> fd
   | Error e -> raise (Fail e)
 
-(* the heartbeat domain: measures its own cell-completion EWMA between
+(* the heartbeat domain: samples its own cell-completion count between
    naps and ships a stats beat. Sends share the connection mutex with
    the serving domain; a send failure here is swallowed — the serving
    domain will hit the same broken socket and report it properly *)
-let beater ~send ~stop ~done_cells ~stage ~beat_ms =
+let beater ~send ~stop ~done_cells ~stages ~beat_ms =
   Domain.spawn (fun () ->
-      let rate = ref 0 in
-      let prev = ref (Atomic.get done_cells) in
-      let prev_t = ref (Mclock.now_ns ()) in
+      let rate = Series.rate_window () in
+      Series.push rate ~now:(Mclock.now_ns ()) (Atomic.get done_cells);
       let naps = max 1 (beat_ms / 100) in
       let rec nap n =
         if n > 0 && not (Atomic.get stop) then begin
@@ -65,11 +54,7 @@ let beater ~send ~stop ~done_cells ~stage ~beat_ms =
         if not (Atomic.get stop) then begin
           let now = Mclock.now_ns () in
           let cur = Atomic.get done_cells in
-          let ms = Int64.to_int (Int64.div (Int64.sub now !prev_t) 1_000_000L) in
-          let inst = if ms <= 0 then 0 else (cur - !prev) * 1_000_000 / ms in
-          rate := (if !rate = 0 then inst else ((!rate * 7) + (inst * 3)) / 10);
-          prev := cur;
-          prev_t := now;
+          Series.push rate ~now cur;
           let queue_depth =
             match Pool.current () with
             | Some p -> (Pool.stats p).Pool.in_flight
@@ -78,10 +63,10 @@ let beater ~send ~stop ~done_cells ~stage ~beat_ms =
           let beat =
             {
               Fleet.completed = cur;
-              ewma_milli = !rate;
+              ewma_milli = Series.rate_milli rate ~now cur;
               queue_depth;
               rss_kb = Hostinfo.rss_kb ();
-              stage_us = stage ();
+              stage_us = Atomic.get stages;
             }
           in
           try send (Proto.Beat (Some beat))
@@ -89,7 +74,7 @@ let beater ~send ~stop ~done_cells ~stage ~beat_ms =
         end
       done)
 
-let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~note_stage
+let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~stages
     ~lease_id ~gen ~lo ~hi =
   let spec = Spec.clamp spec ~gen in
   let executed = ref 0 in
@@ -113,7 +98,8 @@ let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~note_stage
      buffers travel on Done and the cumulative stage tally feeds the
      next beats *)
   let spans = if telemetry then Span.drain () else [] in
-  note_stage spans;
+  (* the beat domain only reads the tally; this domain alone writes it *)
+  Atomic.set stages (Span.tally (Span.stage_us spans @ Atomic.get stages));
   let metrics = if telemetry then Metrics.counters () else [] in
   send (Proto.Done { lease_id; executed = !executed; spans; metrics });
   !executed
@@ -139,7 +125,7 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
             (fun () ->
               let payload = Proto.encode msg in
               Wire.count_out out (String.length payload);
-              write_all fd (Wire.frame payload))
+              Netaddr.write_all fd (Wire.frame payload))
         in
         send
           (Proto.Hello
@@ -184,30 +170,8 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
               end
         in
         let done_cells = Atomic.make 0 in
-        let stage_m = Mutex.create () in
-        let stage_tbl : (string, int) Hashtbl.t = Hashtbl.create 8 in
-        let note_stage spans =
-          Mutex.lock stage_m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock stage_m)
-            (fun () ->
-              List.iter
-                (fun (s : Span.t) ->
-                  let us = Int64.to_int (Int64.div s.Span.dur_ns 1000L) in
-                  Hashtbl.replace stage_tbl s.Span.cat
-                    (us
-                    + Option.value ~default:0
-                        (Hashtbl.find_opt stage_tbl s.Span.cat)))
-                spans)
-        in
-        let stage () =
-          Mutex.lock stage_m;
-          Fun.protect
-            ~finally:(fun () -> Mutex.unlock stage_m)
-            (fun () ->
-              List.sort compare
-                (Hashtbl.fold (fun k v acc -> (k, v) :: acc) stage_tbl []))
-        in
+        (* cumulative per-category span time of every lease so far *)
+        let stages = Atomic.make [] in
         (* synced cells arrive as a growing prefix in index order; kept
            reversed for O(1) extension *)
         let known_rev = ref [] in
@@ -225,7 +189,7 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
               let executed =
                 run_lease ~send ~jobs ~spec
                   ~known:(mine @ List.rev !known_rev)
-                  ~record ~count:done_cells ~telemetry ~note_stage ~lease_id
+                  ~record ~count:done_cells ~telemetry ~stages ~lease_id
                   ~gen ~lo ~hi
               in
               total := !total + executed;
@@ -239,7 +203,7 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
               raise (Fail "unexpected message from coordinator")
         in
         let stop = Atomic.make false in
-        let bd = beater ~send ~stop ~done_cells ~stage ~beat_ms in
+        let bd = beater ~send ~stop ~done_cells ~stages ~beat_ms in
         Fun.protect
           ~finally:(fun () ->
             Atomic.set stop true;
@@ -248,3 +212,5 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
   with
   | total -> Ok total
   | exception Fail msg -> Error msg
+  | exception Unix.Unix_error (err, fn, _) ->
+      Error (Printf.sprintf "%s: %s" fn (Unix.error_message err))

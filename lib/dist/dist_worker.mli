@@ -25,7 +25,7 @@ type progress =
   | Finished of { lease_id : int; executed : int }
 
 val run :
-  addr:Proto.addr ->
+  addr:Netaddr.t ->
   ?jobs:int ->
   ?retries:int ->
   ?journal:string ->
@@ -46,7 +46,8 @@ val run :
 
     A heartbeat domain ships a stats-carrying [Beat] roughly every
     [beat_ms] milliseconds (default 1000): cells completed, a
-    self-measured throughput EWMA, local pool queue depth, RSS, and —
+    self-measured throughput ({!Series.rate_window}), local pool queue
+    depth, RSS, and —
     when the coordinator's [Welcome] armed telemetry — the cumulative
     per-stage time from drained spans. With telemetry armed each
     lease's span buffer and the counter-registry snapshot also travel

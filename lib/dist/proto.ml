@@ -159,15 +159,3 @@ let decode line =
       | Some "shutdown" -> Ok Shutdown
       | Some other -> Error (Printf.sprintf "unknown message kind %S" other)
       | None -> Error "missing message kind")
-
-(* ------------------------------------------------------------------ *)
-(* Addresses — shared with [campaign serve], so the grammar and socket
-   bootstrap live in Netaddr; these aliases keep existing call sites
-   (and pattern matches on the constructors) compiling unchanged.       *)
-(* ------------------------------------------------------------------ *)
-
-type addr = Netaddr.t = Unix_sock of string | Tcp of string * int
-
-let addr_of_string = Netaddr.of_string
-let addr_to_string = Netaddr.to_string
-let sockaddr_of = Netaddr.sockaddr_of

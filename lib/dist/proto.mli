@@ -56,15 +56,3 @@ val encode : msg -> string
 
 val decode : string -> (msg, string) result
 (** Parse, checksum-verify and type one payload. *)
-
-(** Endpoint addresses: [unix:PATH] or [HOST:PORT]. The grammar and
-    socket bootstrap live in {!Netaddr} (shared with [campaign serve]);
-    the aliases below keep dist call sites source-compatible. *)
-type addr = Netaddr.t = Unix_sock of string | Tcp of string * int
-
-val addr_of_string : string -> (addr, string) result
-val addr_to_string : addr -> string
-
-val sockaddr_of : addr -> (Unix.sockaddr, string) result
-(** Resolve to a connectable/bindable address ([Tcp] hosts via
-    numeric parse then name lookup). *)

@@ -84,12 +84,6 @@ let stats_of_note note =
       Some { Interp.steps; barriers; atomics; race_checks; prof = [] }
   | _ -> None
 
-let cls_of_bucket = function
-  | Majority.B_wrong -> Some "wrong-code"
-  | Majority.B_bf -> Some "build-failure"
-  | Majority.B_crash -> Some "crash"
-  | Majority.B_ok | Majority.B_timeout -> None
-
 (* one planned kernel of a generation. Its prepared form (with the
    compiled programs and runs it caches) is held until the kernel's last
    cell has run, so a generation does not keep every kernel's compiled
@@ -271,7 +265,7 @@ let run ?jobs ?fuel ?(budget = default_budget) ?(seed = 1) ?config_ids
             kernel_bits := !kernel_bits + bits;
             if bits > 0 && !novel_cell = None then
               novel_cell := Some (cfg_id, opt, divergent, novel);
-            match cls_of_bucket b with
+            match Majority.bucket_class b with
             | None -> ()
             | Some cls ->
                 incr gen_findings;

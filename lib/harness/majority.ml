@@ -44,3 +44,9 @@ let bucket_name = function
   | B_bf -> "bf"
   | B_crash -> "c"
   | B_timeout -> "to"
+
+let bucket_class = function
+  | B_wrong -> Some "wrong-code"
+  | B_bf -> Some "build-failure"
+  | B_crash -> Some "crash"
+  | B_ok | B_timeout -> None

@@ -19,3 +19,9 @@ type bucket = B_wrong | B_ok | B_bf | B_crash | B_timeout
 
 val bucket_of : majority:string option -> Outcome.t -> bucket
 val bucket_name : bucket -> string
+
+val bucket_class : bucket -> string option
+(** The triage class of a bucket — ["wrong-code"], ["build-failure"] or
+    ["crash"] — or [None] for [B_ok] and [B_timeout], which are no bug.
+    Triage, the fuzz loop, the report and [campaign client run] all
+    name bugs by it. *)

@@ -12,3 +12,8 @@ val now_ns : unit -> int64
 val ns_to_us : int64 -> int
 (** Truncating nanoseconds -> microseconds conversion (Chrome traces
     and the progress line both work in integer microseconds). *)
+
+val duration_string : int -> string
+(** A duration in milliseconds for display: ["850ms"], ["10.0s"],
+    ["3.5m"], ["1.2h"], or ["?"] when negative (unknown). The fleet
+    table and the progress line both print durations with it. *)

@@ -70,15 +70,17 @@ let histograms () =
     (fun (name, h) -> (name, histogram_buckets h))
     (sorted_bindings histograms_tbl)
 
+let rank p n = max 1 (((p * n) + 99) / 100)
+
 (* The p-th percentile over bucketed contents: the smallest bucket floor
-   whose cumulative count reaches ceil(p/100 * total). Exact for the
-   bucket representatives — every observation in a bucket is reported as
-   the bucket floor, the same compression the buckets themselves apply. *)
+   whose cumulative count reaches the rank. Exact for the bucket
+   representatives — every observation in a bucket is reported as the
+   bucket floor, the same compression the buckets themselves apply. *)
 let percentile_of_buckets buckets p =
   let total = List.fold_left (fun acc (_, n) -> acc + n) 0 buckets in
   if total = 0 then None
   else
-    let rank = max 1 ((p * total + 99) / 100) in
+    let rank = rank p total in
     let rec go seen = function
       | [] -> None
       | (floor, n) :: rest ->

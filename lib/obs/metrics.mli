@@ -39,10 +39,15 @@ val histograms : unit -> (string * (int * int) list) list
 (** Snapshot of every histogram, sorted by name; each histogram is its
     non-empty [(bucket_floor, count)] pairs in increasing order. *)
 
+val rank : int -> int -> int
+(** [rank p n]: the 1-based rank of the [p]-th percentile among [n]
+    ordered observations, [max 1 (ceil (p/100 * n))] — the one rank
+    rule, used by {!percentile} and [Series.percentile]. *)
+
 val percentile : histogram -> int -> int option
 (** [percentile h p] for [p] in [0, 100]: the smallest bucket floor whose
-    cumulative count reaches [ceil (p/100 * total)], or [None] on an
-    empty histogram. Exact over the bucket representatives (every
+    cumulative count reaches {!rank} [p total], or [None] on an empty
+    histogram. Exact over the bucket representatives (every
     observation reports as its bucket floor), so p50/p90/p99 summaries
     are deterministic functions of the bucket contents. *)
 

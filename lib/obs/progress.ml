@@ -22,8 +22,10 @@ type t = {
   min_interval_ns : int64;
   label : string;
   total : int;
-  start : int;  (** cells already done before the clock started *)
   t0_ns : int64;
+  rate : int Series.t;
+      (** done cells over time, seeded with the cells done before this
+          session, so resumed work costs no session time *)
   mutable done_ : int;
   mutable last_draw_ns : int64;
   mutable tallies : (string * int) list; (* insertion-ordered *)
@@ -38,14 +40,17 @@ let create ?out:(oc = stderr) ?style ?min_interval_ms ?(start = 0) ~label
     (* a plain line cannot be overwritten, so redraw far less often *)
     | None -> ( match style with Ansi -> 100 | Plain -> 1000)
   in
+  let t0_ns = Mclock.now_ns () in
+  let rate = Series.rate_window () in
+  Series.push rate ~now:t0_ns start;
   {
     out = oc;
     style;
     min_interval_ns = Int64.mul (Int64.of_int min_interval_ms) 1_000_000L;
     label;
     total;
-    start;
-    t0_ns = Mclock.now_ns ();
+    t0_ns;
+    rate;
     done_ = start;
     last_draw_ns = 0L;
     tallies = [];
@@ -59,40 +64,26 @@ let tally t tag =
   in
   t.tallies <- bump t.tallies
 
-(* rate and ETA measure this session's work only: resumed/prefilled
-   cells ([start]) cost no session time and must not inflate either *)
 let eta_string t now =
   if t.total <= t.done_ then "0s"
-  else if t.done_ <= t.start then
-    (* no session work measured yet (all prefill, or nothing done):
-       the rate is zero and any extrapolation would be garbage *)
-    "--:--"
   else
-    let elapsed_s =
-      Int64.to_float (Int64.sub now t.t0_ns) /. 1e9
-    in
-    let remaining =
-      float_of_int (t.total - t.done_) *. elapsed_s
-      /. float_of_int (t.done_ - t.start)
-    in
-    if remaining >= 3600. then Printf.sprintf "%.1fh" (remaining /. 3600.)
-    else if remaining >= 60. then Printf.sprintf "%.1fm" (remaining /. 60.)
-    else Printf.sprintf "%.0fs" remaining
+    match Series.rate_milli t.rate ~now t.done_ with
+    (* no session work measured in the window: any extrapolation would
+       be garbage *)
+    | r when r <= 0 -> "--:--"
+    | r -> Mclock.duration_string ((t.total - t.done_) * 1_000_000 / r)
 
 let draw t now =
   t.last_draw_ns <- now;
-  let elapsed_s = Int64.to_float (Int64.sub now t.t0_ns) /. 1e9 in
-  let rate =
-    if elapsed_s > 0. then float_of_int (t.done_ - t.start) /. elapsed_s
-    else 0.
-  in
   let tallies =
     String.concat " "
       (List.map (fun (tag, n) -> Printf.sprintf "%s:%d" tag n) t.tallies)
   in
   let body =
     Printf.sprintf "%s %d/%d cells  %.1f cells/s  ETA %s  %s" t.label t.done_
-      t.total rate (eta_string t now) tallies
+      t.total
+      (float_of_int (Series.rate_milli t.rate ~now t.done_) /. 1000.)
+      (eta_string t now) tallies
   in
   match t.style with
   | Ansi -> Printf.fprintf t.out "\r%s\027[K%!" body
@@ -102,6 +93,7 @@ let step t ~tag =
   t.done_ <- t.done_ + 1;
   tally t tag;
   let now = Mclock.now_ns () in
+  Series.push t.rate ~now t.done_;
   if
     t.done_ = t.total
     || Int64.compare (Int64.sub now t.last_draw_ns) t.min_interval_ns >= 0

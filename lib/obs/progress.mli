@@ -43,10 +43,12 @@ val step : t -> tag:string -> unit
 
 val eta_string : t -> int64 -> string
 (** The displayed ETA at monotonic time [now]: ["0s"] when nothing
-    remains, ["--:--"] when work remains but no session cell has
-    finished yet (zero measured rate — prefill-only or just started),
-    otherwise an extrapolation like ["42s"] / ["3.5m"] / ["1.2h"].
-    Exposed for tests. *)
+    remains, ["--:--"] when work remains but the session's rate is zero
+    (prefill only, just started, or no cell within the rate window),
+    otherwise an extrapolation in {!Mclock.duration_string}'s format,
+    like ["42.0s"] / ["3.5m"] / ["1.2h"]. The rate is the growth over
+    the last few one-second samples ({!Series.rate_window}). Exposed
+    for tests. *)
 
 val finish : t -> unit
 (** Final redraw (Plain mode skips it when the last {!step} already

@@ -100,3 +100,14 @@ let reset () =
   Mutex.lock registry_m;
   List.iter (fun b -> b.spans <- []) !registry;
   Mutex.unlock registry_m
+
+let tally pairs =
+  let rec sum = function
+    | (c, a) :: (c', b) :: rest when String.equal c c' -> sum ((c, a + b) :: rest)
+    | pair :: rest -> pair :: sum rest
+    | [] -> []
+  in
+  sum (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) pairs)
+
+let stage_us spans =
+  tally (List.map (fun s -> (s.cat, Mclock.ns_to_us s.dur_ns)) spans)

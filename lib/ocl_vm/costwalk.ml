@@ -20,13 +20,10 @@ end)
 
 (* slots [0, n_static) are the program's nodes; one synthetic slot per
    constructor family follows, in [expr_kinds] then [stmt_kinds] order.
-   A node's path is its parent's path plus its kind, built only when
-   [constructs] needs it: a slot's parent is another slot, or [-1 - f]
-   below the root frame [frames.(f)]. *)
+   A slot's path is built once, and every decoded cell shares it. *)
 type t = {
   kinds : int array;  (* index into [families] *)
-  parents : int array;
-  frames : string array;
+  paths : string array;
   n_static : int;
 }
 
@@ -178,12 +175,22 @@ let build (p : program) =
       (List.map (fun (f : func) -> "fn:" ^ f.fname) p.funcs
       @ [ "kernel:" ^ p.kernel.fname ])
   in
-  {
-    kinds = Array.init (n + Array.length families) (fun i -> if i < n then kinds.(i) else i - n);
-    parents;
-    frames;
-    n_static = n;
-  }
+  let kinds =
+    Array.init (n + Array.length families) (fun i -> if i < n then kinds.(i) else i - n)
+  in
+  (* preorder numbers a parent before its children: its path, or the
+     root frame [-1 - f] it hangs below, is ready first *)
+  let paths = Array.make (Array.length kinds) "" in
+  Array.iteri
+    (fun slot kind ->
+      paths.(slot) <-
+        (if slot >= n then "<synthetic>"
+         else
+           let parent = parents.(slot) in
+           if parent < 0 then frames.(-1 - parent) else paths.(parent))
+        ^ ";" ^ families.(kind))
+    kinds;
+  { kinds; paths; n_static = n }
 
 let size ix = ix.n + Array.length families
 
@@ -200,17 +207,6 @@ let stmt_slot ix s =
 let ticks counts = Array.fold_left ( + ) 0 counts
 
 let constructs t counts =
-  let paths = Hashtbl.create 64 in
-  let rec path slot =
-    if slot < 0 then t.frames.(-1 - slot)
-    else
-      match Hashtbl.find_opt paths slot with
-      | Some p -> p
-      | None ->
-          let p = path t.parents.(slot) ^ ";" ^ families.(t.kinds.(slot)) in
-          Hashtbl.add paths slot p;
-          p
-  in
   let acc = ref [] in
   for slot = Array.length counts - 1 downto 0 do
     if counts.(slot) > 0 then
@@ -218,9 +214,7 @@ let constructs t counts =
         {
           Costprof.kind = families.(t.kinds.(slot));
           loc = (if slot < t.n_static then slot else -1);
-          path =
-            (if slot < t.n_static then path slot
-             else "<synthetic>;" ^ families.(t.kinds.(slot)));
+          path = t.paths.(slot);
           n = counts.(slot);
         }
         :: !acc

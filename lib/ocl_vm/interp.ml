@@ -139,6 +139,7 @@ type compiled = {
   free_names : string array;
   n_locals : int;
   n_ticks : int;  (* cost-profile slots *)
+  names : Costwalk.t Memo.t;  (* slot names, built by the first decode *)
 }
 
 let spend ts n =
@@ -1203,10 +1204,11 @@ let compile (p : program) : compiled =
     free_names;
     n_locals = Hashtbl.length cx.locals;
     n_ticks = Costwalk.size index;
+    names = Memo.make (fun () -> Costwalk.build p);
   }
 
 let constructs (c : compiled) counts =
-  Costwalk.constructs (Costwalk.build c.source) counts
+  Costwalk.constructs (Memo.force c.names) counts
 
 (* ------------------------------------------------------------------ *)
 (* Group execution                                                     *)

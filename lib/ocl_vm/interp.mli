@@ -83,7 +83,10 @@ val exec :
 
 val constructs : compiled -> int array -> Costprof.construct list
 (** The non-zero ticks of a run of this program as cost-profile
-    constructs, sorted by (loc, kind). *)
+    constructs, sorted by (loc, kind). The slot names are built once
+    per compiled program, by its first decode (from any domain), and
+    every decoded run shares their path strings; an unprofiled program
+    never builds them. *)
 
 val run : ?config:config -> Ast.testcase -> run_result
 (** [compile] the testcase's program, then [exec] it. *)

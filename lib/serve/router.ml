@@ -141,24 +141,11 @@ let handle_get ?history store (r : Http.req) =
       | Some h -> ok_json (Svhistory.to_json h)
       | None -> err 404 "history not armed")
   | "/report" ->
-      let history =
-        match history with
-        | None -> []
-        | Some h ->
-            List.map
-              (fun (s : Svhistory.sample) ->
-                {
-                  Report_html.ts_ms = s.Svhistory.t_ms;
-                  requests = s.Svhistory.requests;
-                  shed = s.Svhistory.shed;
-                  p50_us = s.Svhistory.p50_us;
-                  p99_us = s.Svhistory.p99_us;
-                })
-              (Svhistory.samples h)
-      in
       let html =
         Report_html.render ~header:(Svstore.header store)
-          ~cells:(Svstore.cells store) ~history ()
+          ~cells:(Svstore.cells store)
+          ?history:(Option.map Svhistory.samples history)
+          ()
       in
       Http.response ~status:200 ~content_type:"text/html" ~body:html ()
   | path -> (

@@ -178,32 +178,25 @@ let run ~addr ~store ?max_inflight ?max_queue ?read_timeout_ms
         go ()
       in
       let start_ns = Mclock.now_ns () in
-      (* seeded one interval back so the first tick snapshots immediately
-         (min_int would overflow the subtraction below) *)
-      let last_sample = ref (Int64.sub start_ns 1_000_000_000L) in
+      (* one snapshot per second of daemon life, bounded by the ring *)
       let sample_history now =
         match history with
-        | None -> ()
-        | Some h ->
-            (* one snapshot per second of daemon life, bounded by the ring *)
-            if Int64.compare (Int64.sub now !last_sample) 1_000_000_000L >= 0
-            then begin
-              last_sample := now;
-              let pct p =
-                Option.value ~default:(-1)
-                  (Metrics.percentile (Lazy.force metric_latency) p)
-              in
-              Svhistory.push h
-                {
-                  Svhistory.t_ms =
-                    Int64.to_int (Int64.div (Int64.sub now start_ns) 1_000_000L);
-                  requests = !requests;
-                  shed = !shed;
-                  timeouts = !timeouts;
-                  p50_us = pct 50;
-                  p99_us = pct 99;
-                }
-            end
+        | Some h when Series.due h ~now ->
+            let pct p =
+              Option.value ~default:(-1)
+                (Metrics.percentile (Lazy.force metric_latency) p)
+            in
+            Series.push h ~now
+              {
+                Svhistory.t_ms =
+                  Int64.to_int (Int64.div (Int64.sub now start_ns) 1_000_000L);
+                requests = !requests;
+                shed = !shed;
+                timeouts = !timeouts;
+                p50_us = pct 50;
+                p99_us = pct 99;
+              }
+        | _ -> ()
       in
       let tick () =
         let now = Mclock.now_ns () in

@@ -33,12 +33,6 @@ let signature_of_features (f : Features.t) =
   | [] -> "plain"
   | active -> String.concat "," active
 
-let cls_of_bucket = function
-  | Majority.B_wrong -> Some "wrong-code"
-  | Majority.B_bf -> Some "build-failure"
-  | Majority.B_crash -> Some "crash"
-  | Majority.B_ok | Majority.B_timeout -> None
-
 type observation = {
   o_cls : string;
   o_config : int;
@@ -202,7 +196,7 @@ let of_journal (h : Journal.header) (cells : Journal.cell list) =
               in
               List.filter_map
                 (fun (config, opt, o) ->
-                  match cls_of_bucket (Majority.bucket_of ~majority o) with
+                  match Majority.bucket_class (Majority.bucket_of ~majority o) with
                   | None -> None
                   | Some cls ->
                       let signature, hash = info_of mode seed in

@@ -453,6 +453,23 @@ let test_fleet_coordinator_ewma () =
   Alcotest.(check (list int)) "a lone busy worker is no straggler" []
     snap.Fleet.stragglers
 
+(* an idle worker's rate is the growth over its last few one-second
+   samples: once the window rolls past its last cell, it reads 0 *)
+let test_fleet_idle_rate () =
+  let f = Fleet.create ~total:1000 ~now:(at_ms 0) () in
+  Fleet.on_join f ~worker:0 ~pid:101 ~host:"a" ~now:(at_ms 0);
+  for i = 0 to 49 do
+    Fleet.on_cell f ~worker:0 ~now:(at_ms (i * 100))
+  done;
+  let rate_at s =
+    let snap = Fleet.snapshot f ~now:(at_ms (s * 1000)) ~collected:50 ~in_flight:0 in
+    (List.hd snap.Fleet.rows).Fleet.rate_milli
+  in
+  let rates = List.map rate_at [ 5; 6; 7; 8; 9; 10 ] in
+  Alcotest.(check bool) "busy worker reads a rate" true (List.hd rates > 0);
+  Alcotest.(check int) "idle worker reads 0 once its cells leave the window" 0
+    (List.nth rates 5)
+
 let test_fleet_slow_rate_straggler () =
   let f = Fleet.create ~total:10_000 ~now:(at_ms 0) () in
   List.iter
@@ -618,6 +635,8 @@ let () =
         [
           Alcotest.test_case "coordinator-side EWMA + ETA" `Quick
             test_fleet_coordinator_ewma;
+          Alcotest.test_case "idle worker's rate falls to 0" `Quick
+            test_fleet_idle_rate;
           Alcotest.test_case "slow-rate straggler" `Quick
             test_fleet_slow_rate_straggler;
           Alcotest.test_case "stops beating mid-lease" `Quick

@@ -218,15 +218,15 @@ let test_proto_old_format () =
     (Proto.encode (Proto.Beat None))
 
 let test_addr_parse () =
-  (match Proto.addr_of_string "unix:/tmp/x.sock" with
-  | Ok (Proto.Unix_sock "/tmp/x.sock") -> ()
+  (match Netaddr.of_string "unix:/tmp/x.sock" with
+  | Ok (Netaddr.Unix_sock "/tmp/x.sock") -> ()
   | _ -> Alcotest.fail "unix addr");
-  (match Proto.addr_of_string "127.0.0.1:9000" with
-  | Ok (Proto.Tcp ("127.0.0.1", 9000)) -> ()
+  (match Netaddr.of_string "127.0.0.1:9000" with
+  | Ok (Netaddr.Tcp ("127.0.0.1", 9000)) -> ()
   | _ -> Alcotest.fail "tcp addr");
   List.iter
     (fun s ->
-      match Proto.addr_of_string s with
+      match Netaddr.of_string s with
       | Ok _ -> Alcotest.failf "accepted %S" s
       | Error _ -> ())
     [ "noport"; "host:"; "host:notint"; "host:0"; "host:70000"; "" ]
@@ -401,7 +401,7 @@ let with_sock f =
   Sys.remove path;
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () -> f (Proto.Unix_sock path))
+    (fun () -> f (Netaddr.Unix_sock path))
 
 let ground_truth spec =
   let cells = ref [] in
@@ -463,7 +463,7 @@ let test_fabric_fuzz () =
    torn-worker case the lease tracker must absorb *)
 let half_shard_client truth addr =
   let sa =
-    match Proto.sockaddr_of addr with
+    match Netaddr.sockaddr_of addr with
     | Ok s -> s
     | Error e -> failwith e
   in
@@ -561,6 +561,43 @@ let test_fabric_fleet () =
   let table = Fleet.to_table ~campaign:"table4" ~phase:"done" snap in
   Alcotest.(check bool) "table renders a worker row" true
     (String.length table > 0)
+
+(* a coordinated run has one watchdog, whose probe reads the
+   coordinator while the fabric is live and the merge's local pool
+   after it *)
+let test_fabric_watchdog_probe () =
+  let spec = small_spec "table4" in
+  with_sock @@ fun addr ->
+  let mon = Coordinator.monitor () in
+  let probe = Coordinator.probe mon in
+  Alcotest.(check bool) "no fabric and no pool: nothing to watch" true
+    (probe () = None);
+  let collected = ref 0 and seen = ref [] in
+  let on_event = function
+    | Coordinator.Progress (c, _) -> collected := c
+    | _ -> ()
+  in
+  (* on_tick runs on the serving thread after each tick's publish *)
+  let on_tick _ = seen := (probe (), !collected) :: !seen in
+  let doms = [ Domain.spawn (fun () -> worker addr) ] in
+  let res =
+    Coordinator.serve ~addr ~spec ~workers:1 ~chunk:5 ~monitor:mon ~on_event
+      ~on_tick ()
+  in
+  List.iter Domain.join doms;
+  (match res with Ok _ -> () | Error e -> Alcotest.failf "coordinator: %s" e);
+  Alcotest.(check bool) "probed while serving" true (!seen <> []);
+  List.iter
+    (fun (p, c) ->
+      match p with
+      | Some (completed, _, _) ->
+          Alcotest.(check int) "the coordinator's collected count" c completed
+      | None -> Alcotest.fail "the live fabric probed as idle")
+    !seen;
+  Alcotest.(check bool) "after serve, no pool: None" true (probe () = None);
+  Pool.with_pool ~jobs:1 (fun _ ->
+      Alcotest.(check bool) "after serve, the local pool" true
+        (probe () = Watchdog.pool_probe () && probe () <> None))
 
 let test_fabric_torn_worker () =
   let spec = small_spec "table4" in
@@ -700,6 +737,8 @@ let () =
             test_fabric_torn_worker;
           Alcotest.test_case "fleet aggregation over a live run" `Slow
             test_fabric_fleet;
+          Alcotest.test_case "watchdog probe hand-off" `Slow
+            test_fabric_watchdog_probe;
         ] );
       ( "shard",
         List.map

@@ -620,6 +620,124 @@ let test_progress_eta_string () =
   Alcotest.(check string) "nothing remaining shows 0s" "0s"
     (Progress.eta_string p (Mclock.now_ns ()))
 
+(* --- the windowed series --- *)
+
+let sec n = Int64.mul (Int64.of_int n) 1_000_000_000L
+
+(* random pushes on an injected clock: the ring keeps exactly the newest
+   [capacity] of the pushes that honour the spacing, in push order *)
+let prop_series_ring =
+  QCheck.Test.make ~count:300 ~name:"ring keeps the newest spaced samples"
+    QCheck.(
+      triple (int_range 1 6) (int_range 0 3)
+        (list_of_size Gen.(0 -- 40) (pair (int_range 0 3) small_int)))
+    (fun (capacity, interval, pushes) ->
+      let t = Series.create ~capacity ~interval_ns:(Int64.of_int interval) in
+      let now = ref 0 and kept = ref [] in
+      List.iter
+        (fun (gap, v) ->
+          now := !now + gap;
+          (match !kept with
+          | (last, _) :: _ when !now - last < interval -> ()
+          | _ -> kept := (!now, v) :: !kept);
+          Series.push t ~now:(Int64.of_int !now) v)
+        pushes;
+      let expected =
+        List.rev (List.filteri (fun i _ -> i < capacity) !kept)
+      in
+      List.map (fun (at, v) -> (Int64.to_int at, v)) (Series.samples t)
+      = expected)
+
+(* a steady count of 10 per second, then silence: the rate reads the
+   count's growth over the window, and 0 once the ring rolls past the
+   last change *)
+let test_series_rate () =
+  let t = Series.rate_window () in
+  for i = 0 to 99 do
+    Series.push t ~now:(Int64.of_int (i * 100_000_000)) i
+  done;
+  let r = Series.rate_milli t ~now:(sec 10) 100 in
+  Alcotest.(check bool)
+    (Printf.sprintf "10 per second reads about 10,000 milli/s (%d)" r)
+    true
+    (r >= 9_500 && r <= 10_500);
+  let idle =
+    List.map
+      (fun s ->
+        Series.push t ~now:(sec s) 100;
+        Series.rate_milli t ~now:(sec s) 100)
+      [ 10; 11; 12; 13; 14; 15 ]
+  in
+  Alcotest.(check bool) "decays while the last change is retained" true
+    (List.hd idle > 0);
+  Alcotest.(check int) "0 once the ring rolls past it" 0
+    (List.nth idle (Series.capacity t));
+  Alcotest.(check int) "an empty series reads 0" 0
+    (Series.rate_milli (Series.rate_window ()) ~now:(sec 1) 5)
+
+(* the window percentile is the sorted-list rank rule of the metrics
+   registry, over the newest [capacity] values *)
+let prop_series_percentile =
+  QCheck.Test.make ~count:300 ~name:"percentile = sorted-list reference"
+    QCheck.(
+      triple (int_range 1 8) (int_range 0 100)
+        (list_of_size Gen.(0 -- 20) (int_range (-50) 1000)))
+    (fun (capacity, p, values) ->
+      let t = Series.create ~capacity ~interval_ns:0L in
+      List.iter (fun v -> Series.push t ~now:0L v) values;
+      let window =
+        List.filteri (fun i _ -> i >= List.length values - capacity) values
+      in
+      let expected =
+        match List.sort compare window with
+        | [] -> None
+        | sorted ->
+            let n = List.length sorted in
+            let rank = max 1 (((p * n) + 99) / 100) in
+            Some (List.nth sorted (rank - 1))
+      in
+      Series.percentile t p = expected)
+
+let test_series_properties () =
+  List.iter QCheck.Test.check_exn [ prop_series_ring; prop_series_percentile ]
+
+(* --- the stage tally --- *)
+
+let prop_stage_tally =
+  QCheck.Test.make ~count:300 ~name:"stage tally = Hashtbl fold"
+    QCheck.(
+      list_of_size Gen.(0 -- 60)
+        (pair (oneofl [ "gen"; "opt"; "exec"; "vote"; "persist" ])
+           (int_bound 5_000_000)))
+    (fun pairs ->
+      let spans =
+        List.map
+          (fun (cat, dur) ->
+            {
+              Span.cat;
+              name = cat;
+              t0_ns = 0L;
+              dur_ns = Int64.of_int dur;
+              domain = 0;
+              task = -1;
+              flow = -1;
+              flow_n = 0;
+            })
+          pairs
+      in
+      let tbl = Hashtbl.create 8 in
+      List.iter
+        (fun (cat, dur) ->
+          Hashtbl.replace tbl cat
+            ((dur / 1000) + Option.value ~default:0 (Hashtbl.find_opt tbl cat)))
+        pairs;
+      let expected =
+        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      Span.stage_us spans = expected)
+
+let test_stage_tally () = QCheck.Test.check_exn prop_stage_tally
+
 let () =
   Alcotest.run "obs"
     [
@@ -644,6 +762,14 @@ let () =
             test_costprof_accumulates_and_roundtrips;
           Alcotest.test_case "torn tail recovery" `Quick
             test_costprof_torn_tail_recovery;
+        ] );
+      ( "series",
+        [
+          Alcotest.test_case "ring and percentile properties" `Quick
+            test_series_properties;
+          Alcotest.test_case "rate on an injected clock" `Quick
+            test_series_rate;
+          Alcotest.test_case "stage tally" `Quick test_stage_tally;
         ] );
       ( "metrics",
         [
