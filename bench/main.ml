@@ -656,14 +656,33 @@ let micro () =
     Test.make ~name:"mutate/one-site"
       (Staged.stage (fun () -> ignore (Mutate.apply ~seed:42L tc.Ast.prog)))
   in
+  (* one scalar operator each, bound once as the compiled interpreter
+     binds it: an int and a uint operand, so the common type differs *)
+  let x = Scalar.make Ty.int_scalar 123_456L
+  and y = Scalar.make { Ty.width = Ty.W32; sign = Ty.Unsigned } 789L in
+  let scalar_test name f =
+    Test.make ~name:("scalar/" ^ name) (Staged.stage (fun () -> ignore (f x y)))
+  in
+  let uchar = { Ty.width = Ty.W8; sign = Ty.Unsigned } in
+  let scalar_tests =
+    [
+      scalar_test "add" (Scalar.binop Op.Add);
+      scalar_test "lt" (Scalar.binop Op.Lt);
+      scalar_test "safe_add" (Scalar.safe_binop Op.Add);
+      scalar_test "safe_mul" (Scalar.safe_binop Op.Mul);
+      scalar_test "safe_div" (Scalar.safe_binop Op.Div);
+      scalar_test "convert" (fun a _ -> Scalar.convert uchar a);
+    ]
+  in
   let tests =
     Test.make_grouped ~name:"clsmith-repro"
-      [
-        gen_test Gen_config.Basic; gen_test Gen_config.Vector;
-        gen_test Gen_config.All; interp_test; interp_compile_test;
-        interp_exec_test; compile_test; emi_test;
-        pp_test; mutate_test;
-      ]
+      ([
+         gen_test Gen_config.Basic; gen_test Gen_config.Vector;
+         gen_test Gen_config.All; interp_test; interp_compile_test;
+         interp_exec_test; compile_test; emi_test;
+         pp_test; mutate_test;
+       ]
+      @ scalar_tests)
   in
   let results =
     let ols =

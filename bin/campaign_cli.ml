@@ -252,10 +252,14 @@ let with_telemetry ~telemetry:t ?fleet_groups ?probe
              total;
            });
       let cells_seen = ref 0 in
-      let prog =
-        if t.o_progress then Some (Progress.create ~label ~total ()) else None
-      in
+      (* the line starts when the cell stream is first wrapped: a local
+         campaign wraps at once, coordinate only for its merge, so the
+         merge's rate is not measured against the fabric phase's wall *)
+      let prog = ref None in
       let wrap sink =
+        if t.o_progress && !prog = None then
+          prog := Some (Progress.create ~label ~total ());
+        let prog = !prog in
         match (prog, ev_writer) with
         | None, None -> sink
         | _ ->
@@ -323,7 +327,7 @@ let with_telemetry ~telemetry:t ?fleet_groups ?probe
       in
       let rc = k wrap emit_ev in
       (match wd with Some w -> Watchdog.stop w | None -> ());
-      (match prog with Some p -> Progress.finish p | None -> ());
+      (match !prog with Some p -> Progress.finish p | None -> ());
       let write_json path json =
         try
           let oc = open_out path in

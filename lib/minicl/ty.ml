@@ -118,12 +118,13 @@ let int_scalar = { width = W32; sign = Signed }
 let promote (s : scalar) =
   match s.width with W8 | W16 -> int_scalar | W32 | W64 -> s
 
+(* returns one of its promoted inputs: after promotion both are [int],
+   [uint], [long] or [ulong], so the wider or, at equal width, the
+   unsigned one is the result *)
 let usual_arith a b =
   let a = promote a and b = promote b in
-  if bits a.width = bits b.width then
-    if a.sign = Unsigned || b.sign = Unsigned then { a with sign = Unsigned }
-    else a
-  else if bits a.width > bits b.width then a
+  if a.width = b.width then if a.sign = Unsigned then a else b
+  else if a.width = W64 then a
   else b
 
 let min_value { width; sign } =

@@ -176,10 +176,14 @@ let read_lv ts lv =
   record_access ts lv Race.Read ~atomic:false;
   R.read ts.l.ctx lv
 
+(* the race record of reading cell [c] *)
+let note_read ts (c : R.cell) =
+  if ts.l.cfg.detect_races then
+    record ts ~loc:c.R.loc ~space:c.R.space Race.Read ~atomic:false
+
 (* [read_lv] of a whole cell, without building the lvalue for leaves *)
 let read_cell ts (c : R.cell) =
-  if ts.l.cfg.detect_races then
-    record ts ~loc:c.R.loc ~space:c.R.space Race.Read ~atomic:false;
+  note_read ts c;
   match c.R.content with
   | R.C_scalar s -> R.V_scalar s
   | R.C_vector v -> R.V_vector v
@@ -238,71 +242,75 @@ let block_contains_barrier b =
 (* Scalar/vector operator dispatch                                     *)
 (* ------------------------------------------------------------------ *)
 
-let lift_unop op (v : R.value) : R.value =
+(* The lifts dispatch on the operator when partially applied: compiled
+   nodes bind [lift_unop op] and [lift_binop ~safe op] once. *)
+let lift_unop op =
   let f =
     match op with
     | Op.Neg -> Scalar.neg
     | Op.BitNot -> Scalar.bit_not
     | Op.LogNot -> Scalar.log_not
   in
-  match v with
-  | R.V_scalar s -> R.V_scalar (f s)
-  | R.V_vector vv when op = Op.LogNot ->
-      (* !v on vectors: 0 components become -1, others 0 *)
-      let rty = { (Vecval.elem_ty vv) with Ty.sign = Ty.Signed } in
-      R.V_vector
-        (Vecval.map
-           (fun c ->
-             if Scalar.is_zero c then Scalar.make rty (-1L) else Scalar.zero rty)
-           (Vecval.convert rty vv))
-  | R.V_vector vv -> R.V_vector (Vecval.map f vv)
-  | _ -> raise (Rt_crash "unary operator on non-integer value")
+  fun (v : R.value) : R.value ->
+    match v with
+    | R.V_scalar s -> R.V_scalar (f s)
+    | R.V_vector vv when op = Op.LogNot ->
+        (* !v on vectors: 0 components become -1, others 0 *)
+        let rty = { (Vecval.elem_ty vv) with Ty.sign = Ty.Signed } in
+        R.V_vector
+          (Vecval.map
+             (fun c ->
+               if Scalar.is_zero c then Scalar.make rty (-1L) else Scalar.zero rty)
+             (Vecval.convert rty vv))
+    | R.V_vector vv -> R.V_vector (Vecval.map f vv)
+    | _ -> raise (Rt_crash "unary operator on non-integer value")
 
-let lift_binop ~safe op (a : R.value) (b : R.value) : R.value =
+let lift_binop ~safe op =
   let sop = if safe then Scalar.safe_binop op else Scalar.binop op in
-  match (a, b) with
-  | R.V_scalar x, R.V_scalar y -> R.V_scalar (sop x y)
-  | R.V_vector x, R.V_vector y ->
-      if Op.is_comparison op || Op.is_shortcircuit op then
-        R.V_vector (Vecval.binop op x y)
-      else R.V_vector (Vecval.map2 sop x y)
-  | R.V_vector x, R.V_scalar y ->
-      let y' = Vecval.splat (Vecval.elem_ty x) (Vecval.vlen x) y in
-      if Op.is_comparison op || Op.is_shortcircuit op then
-        R.V_vector (Vecval.binop op x y')
-      else R.V_vector (Vecval.map2 sop x y')
-  | R.V_scalar x, R.V_vector y ->
-      let x' = Vecval.splat (Vecval.elem_ty y) (Vecval.vlen y) x in
-      if Op.is_comparison op || Op.is_shortcircuit op then
-        R.V_vector (Vecval.binop op x' y)
-      else R.V_vector (Vecval.map2 sop x' y)
-  | (R.V_ptr _ as p), (R.V_ptr _ as q) when Op.is_comparison op ->
-      let same =
-        match (p, q) with
-        | R.V_ptr (Some a'), R.V_ptr (Some b') -> a'.R.target == b'.R.target
-        | R.V_ptr None, R.V_ptr None -> true
-        | _ -> false
-      in
-      let b =
-        match op with
-        | Op.Eq -> same
-        | Op.Ne -> not same
-        | _ -> raise (Rt_crash "ordered comparison of pointers")
-      in
-      R.V_scalar (Scalar.of_int Ty.int_scalar (if b then 1 else 0))
-  | _ -> raise (Rt_crash "binary operator on incompatible values")
+  let vop =
+    if Op.is_comparison op || Op.is_shortcircuit op then Vecval.binop op
+    else Vecval.map2 sop
+  in
+  fun (a : R.value) (b : R.value) : R.value ->
+    match (a, b) with
+    | R.V_scalar x, R.V_scalar y -> R.V_scalar (sop x y)
+    | R.V_vector x, R.V_vector y -> R.V_vector (vop x y)
+    | R.V_vector x, R.V_scalar y ->
+        R.V_vector (vop x (Vecval.splat (Vecval.elem_ty x) (Vecval.vlen x) y))
+    | R.V_scalar x, R.V_vector y ->
+        R.V_vector (vop (Vecval.splat (Vecval.elem_ty y) (Vecval.vlen y) x) y)
+    | (R.V_ptr _ as p), (R.V_ptr _ as q) when Op.is_comparison op ->
+        let same =
+          match (p, q) with
+          | R.V_ptr (Some a'), R.V_ptr (Some b') -> a'.R.target == b'.R.target
+          | R.V_ptr None, R.V_ptr None -> true
+          | _ -> false
+        in
+        let b =
+          match op with
+          | Op.Eq -> same
+          | Op.Ne -> not same
+          | _ -> raise (Rt_crash "ordered comparison of pointers")
+        in
+        R.V_scalar (Scalar.of_int Ty.int_scalar (if b then 1 else 0))
+    | _ -> raise (Rt_crash "binary operator on incompatible values")
+
+(* the scalar function of a two-operand built-in *)
+let builtin2 : Op.builtin -> (Scalar.t -> Scalar.t -> Scalar.t) option = function
+  | Op.Rotate -> Some Scalar.rotate
+  | Op.Min -> Some Scalar.min_v
+  | Op.Max -> Some Scalar.max_v
+  | Op.Add_sat -> Some Scalar.add_sat
+  | Op.Sub_sat -> Some Scalar.sub_sat
+  | Op.Hadd -> Some Scalar.hadd
+  | Op.Mul_hi -> Some Scalar.mul_hi
+  | Op.Clamp | Op.Safe_clamp | Op.Abs -> None
 
 let builtin_scalar (b : Op.builtin) (args : Scalar.t list) =
-  match (b, args) with
-  | (Op.Clamp | Op.Safe_clamp), [ x; lo; hi ] -> Scalar.clamp x lo hi
-  | Op.Rotate, [ x; y ] -> Scalar.rotate x y
-  | Op.Min, [ x; y ] -> Scalar.min_v x y
-  | Op.Max, [ x; y ] -> Scalar.max_v x y
-  | Op.Abs, [ x ] -> Scalar.abs_v x
-  | Op.Add_sat, [ x; y ] -> Scalar.add_sat x y
-  | Op.Sub_sat, [ x; y ] -> Scalar.sub_sat x y
-  | Op.Hadd, [ x; y ] -> Scalar.hadd x y
-  | Op.Mul_hi, [ x; y ] -> Scalar.mul_hi x y
+  match (b, args, builtin2 b) with
+  | (Op.Clamp | Op.Safe_clamp), [ x; lo; hi ], _ -> Scalar.clamp x lo hi
+  | Op.Abs, [ x ], _ -> Scalar.abs_v x
+  | _, [ x; y ], Some f -> f x y
   | _ -> raise (Rt_crash ("builtin arity: " ^ Op.builtin_name b))
 
 let lift_builtin b (args : R.value list) : R.value =
@@ -331,6 +339,10 @@ let lift_builtin b (args : R.value list) : R.value =
     let rty = (comps.(0)).Scalar.ty in
     R.V_vector (Vecval.make rty comps)
 
+(* the [int] results of the logical operators *)
+let v_true = R.V_scalar (Scalar.one Ty.int_scalar)
+let v_false = R.V_scalar (Scalar.zero Ty.int_scalar)
+
 let zero_of ctx (t : Ty.t) : R.value =
   match t with
   | Ty.Void -> R.V_scalar (Scalar.zero Ty.int_scalar)
@@ -349,10 +361,11 @@ let free_cell ts k name =
   | None -> raise (Rt_crash ("unbound variable " ^ name))
 
 (* [cands] pairs each struct holding field [f] with the field's index;
-   -1 when struct [n] is not among them *)
+   -1 when struct [n] is not among them. A struct cell holds its
+   aggregate's own name, so the physical test usually decides. *)
 let rec member n = function
   | [] -> -1
-  | (m, i) :: rest -> if String.equal n m then i else member n rest
+  | (m, i) :: rest -> if n == m || String.equal n m then i else member n rest
 
 let field_lv ts cands f (lv : R.lvalue) =
   match lv with
@@ -409,10 +422,58 @@ let exec_barrier ts site fence =
   Effect.perform (Br { site; iters = ts.loop_iters; fence })
 
 (* a placeholder for frame slots not yet bound; never read, because a
-   variable's slot is written by its declaration before any use *)
+   variable's slot is written by its declaration before any use. It is
+   also what a fused chain's look finds for any other shape. *)
 let dummy_cell =
   R.alloc (R.alloc_ctx ~tyenv:(Ty.tyenv_of_list []) ~layout:Layout.standard ())
     Ty.Private Ty.int
+
+(* ------------------------------------------------------------------ *)
+(* Fused access chains                                                 *)
+(*                                                                     *)
+(* [x[i]], [*p], [( *p).f] and [( *p).f[i]] with [x] and [p] in frame  *)
+(* slots run as one closure each. It first looks at the runtime shape  *)
+(* (slot, pointer, struct, member, element) without ticking, recording *)
+(* or evaluating anything, then makes exactly the ticks, race records  *)
+(* and [via_ptr] update of the unfused closures. Any other shape — a   *)
+(* union byte view, an array behind the pointer, a pointer variable    *)
+(* indexed, an index out of range, a member the struct lacks — goes to *)
+(* the generic closures: before anything has run, or with the index    *)
+(* value already computed.                                             *)
+(* ------------------------------------------------------------------ *)
+
+type chain_base =
+  | B_var of int  (* [x]: its frame slot *)
+  | B_member of int * (string * int) list * int * int
+      (* [( *p).f]: [p]'s frame slot, [f]'s candidates, and the cost slots
+         of the Deref and Var nodes *)
+
+(* the member cell of [( *p).f], where [pc] is [p]'s cell *)
+let member_behind (pc : R.cell) cands =
+  match pc.R.content with
+  | R.C_ptr (Some { R.target = { R.content = R.C_struct (n, fs); _ }; _ }) ->
+      let k = member n cands in
+      if k < 0 then dummy_cell else fs.(k)
+  | _ -> dummy_cell
+
+let base_cell ts = function
+  | B_var s -> Array.unsafe_get ts.fr s
+  | B_member (s, cands, _, _) -> member_behind (Array.unsafe_get ts.fr s) cands
+
+(* element [idx] of array cell [c] *)
+let element (c : R.cell) idx =
+  match c.R.content with
+  | R.C_array (_, es) when idx >= 0 && idx < Array.length es -> Array.unsafe_get es idx
+  | _ -> dummy_cell
+
+(* the ticks, race record and pointer flag of reaching the base *)
+let reach ts = function
+  | B_var _ -> ts.via_ptr <- false
+  | B_member (s, _, id, ip) ->
+      tick ts id;
+      tick ts ip;
+      note_read ts (Array.unsafe_get ts.fr s);
+      ts.via_ptr <- true
 
 (* arguments, left to right *)
 let run_args ts ids (args : cexpr array) =
@@ -621,6 +682,26 @@ let thread_id_ty = function
       { Ty.width = Ty.W32; sign = Ty.Unsigned }
   | _ -> { Ty.width = Ty.W64; sign = Ty.Unsigned }
 
+(* [e] as the base of a fused chain *)
+let chain_base cx sc (e : expr) =
+  match e with
+  | Var x -> ( match resolve cx sc x with Slot s -> Some (B_var s) | Free _ -> None)
+  | Field ((Deref (Var p as vp) as d), f) -> (
+      match resolve cx sc p with
+      | Slot s ->
+          Some
+            (B_member
+               ( s,
+                 field_cands cx f,
+                 Costwalk.expr_slot cx.index d,
+                 Costwalk.expr_slot cx.index vp ))
+      | Free _ -> None)
+  | _ -> None
+
+(* compiled children: their cost slots and closures, in two arrays *)
+let unzip_subs subs =
+  (Array.of_list (List.map fst subs), Array.of_list (List.map snd subs))
+
 (* a child and its cost slot, for the parent to tick before running it *)
 let rec sub cx sc e = (Costwalk.expr_slot cx.index e, cexpr cx sc e)
 and lsub cx sc e = (Costwalk.expr_slot cx.index e, clval cx sc e)
@@ -640,55 +721,96 @@ and cexpr cx sc (e : expr) : cexpr =
           shared cx.free_readers k (fun () -> fun ts ->
               read_cell ts (free_cell ts k v)))
   (* lvalue-shaped reads: the node's one tick covers its lvalue *)
-  | Field (a, f) ->
+  | Field (a, f) -> (
       let ia, a = lsub cx sc a and cands = field_cands cx f in
-      fun ts ->
+      let generic ts =
         tick ts ia;
         field_read ts cands f (a ts)
-  | Deref a ->
-      let ia, a = sub cx sc a in
-      fun ts ->
+      in
+      match chain_base cx sc e with
+      | Some b ->
+          fun ts ->
+            let m = base_cell ts b in
+            if m == dummy_cell then generic ts
+            else (
+              reach ts b;
+              read_cell ts m)
+      | None -> generic)
+  | Deref a -> (
+      let ia, ca = sub cx sc a in
+      let generic ts =
         tick ts ia;
-        read_lv ts (deref_lv ts (a ts))
-  | Arrow _ | Index _ ->
+        read_lv ts (deref_lv ts (ca ts))
+      in
+      match chain_base cx sc a with
+      | Some (B_var s) ->
+          fun ts ->
+            let pc = Array.unsafe_get ts.fr s in
+            (match pc.R.content with
+            | R.C_ptr (Some { R.target = { R.content = R.C_array _; _ }; _ }) ->
+                generic ts
+            | R.C_ptr (Some { R.target; _ }) ->
+                tick ts ia;
+                note_read ts pc;
+                read_cell ts target
+            | _ -> generic ts)
+      | _ -> generic)
+  | Index (a, i) -> (
+      let ii, i = sub cx sc i in
+      let rest = cindexed cx sc a in
+      match chain_base cx sc a with
+      | Some b ->
+          let ia = Costwalk.expr_slot cx.index a in
+          fun ts ->
+            tick ts ii;
+            let idx = as_int "index" (i ts) in
+            let c = element (base_cell ts b) idx in
+            if c == dummy_cell then read_lv ts (rest ts idx)
+            else (
+              tick ts ia;
+              reach ts b;
+              read_cell ts c)
+      | None ->
+          fun ts ->
+            tick ts ii;
+            read_lv ts (rest ts (as_int "index" (i ts))))
+  | Arrow _ ->
       let lv = clval cx sc e in
       fun ts -> read_lv ts (lv ts)
   | Thread_id k ->
       let ty = thread_id_ty k in
       fun ts -> R.V_scalar (Scalar.make ty (Ndrange.id_value ts.l.nd ts.th k))
   | Unop (op, a) ->
-      let ia, a = sub cx sc a in
+      let ia, a = sub cx sc a and f = lift_unop op in
       fun ts ->
         tick ts ia;
-        lift_unop op (a ts)
+        f (a ts)
   | Binop (Op.LogAnd, a, b) ->
       let ia, a = sub cx sc a and ib, b = sub cx sc b in
+      let lift = lift_binop ~safe:false Op.LogAnd in
       fun ts ->
         tick ts ia;
         (match a ts with
-        | R.V_scalar s when Scalar.is_zero s -> R.V_scalar (Scalar.zero Ty.int_scalar)
+        | R.V_scalar s when Scalar.is_zero s -> v_false
         | R.V_scalar _ ->
             tick ts ib;
-            R.V_scalar
-              (if truth (b ts) then Scalar.one Ty.int_scalar
-               else Scalar.zero Ty.int_scalar)
+            if truth (b ts) then v_true else v_false
         | va ->
             tick ts ib;
-            lift_binop ~safe:false Op.LogAnd va (b ts))
+            lift va (b ts))
   | Binop (Op.LogOr, a, b) ->
       let ia, a = sub cx sc a and ib, b = sub cx sc b in
+      let lift = lift_binop ~safe:false Op.LogOr in
       fun ts ->
         tick ts ia;
         (match a ts with
-        | R.V_scalar s when Scalar.is_true s -> R.V_scalar (Scalar.one Ty.int_scalar)
+        | R.V_scalar s when Scalar.is_true s -> v_true
         | R.V_scalar _ ->
             tick ts ib;
-            R.V_scalar
-              (if truth (b ts) then Scalar.one Ty.int_scalar
-               else Scalar.zero Ty.int_scalar)
+            if truth (b ts) then v_true else v_false
         | va ->
             tick ts ib;
-            lift_binop ~safe:false Op.LogOr va (b ts))
+            lift va (b ts))
   | Binop (Op.Comma, a, b) ->
       let ia, a = sub cx sc a and ib, b = sub cx sc b in
       fun ts ->
@@ -700,11 +822,10 @@ and cexpr cx sc (e : expr) : cexpr =
         | Profile.Comma_second -> vb
         | Profile.Comma_first -> va)
   | Binop (op, a, b) when Op.is_comparison op && (mentions_group_id a || mentions_group_id b) ->
-      let bin = cbinop cx sc ~safe:false op a b in
+      let bin = cbinop cx sc ~safe:false op a b and log_not = lift_unop Op.LogNot in
       fun ts ->
         let v = bin ts in
-        if ts.l.cfg.profile.Profile.group_id_cmp_invert then lift_unop Op.LogNot v
-        else v
+        if ts.l.cfg.profile.Profile.group_id_cmp_invert then log_not v else v
   | Binop (op, a, b) -> cbinop cx sc ~safe:false op a b
   | Safe_binop (op, a, b) -> cbinop cx sc ~safe:true op a b
   | Safe_neg a ->
@@ -715,10 +836,17 @@ and cexpr cx sc (e : expr) : cexpr =
         | R.V_scalar s -> R.V_scalar (Scalar.safe_neg s)
         | R.V_vector v -> R.V_vector (Vecval.map Scalar.safe_neg v)
         | _ -> raise (Rt_crash "safe_unary_minus on non-integer"))
-  | Builtin (b, args) ->
-      let ids, args = subs cx sc args in
-      fun ts -> lift_builtin b (Array.to_list (run_args ts ids args))
+  | Builtin (b, args) -> cbuiltin cx sc b args
   | Call (f, args) -> ccall cx sc f args
+  | Cast (Ty.Scalar s, a) ->
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        (match a ts with
+        | R.V_scalar x as v ->
+            let y = Scalar.convert s x in
+            if y == x then v else R.V_scalar y
+        | _ -> raise (Rt_crash "invalid cast"))
   | Cast (t, a) ->
       let ia, a = sub cx sc a in
       fun ts ->
@@ -780,28 +908,49 @@ and cexpr cx sc (e : expr) : cexpr =
         R.V_vector (Vecval.make s (Array.of_list comps))
   | Atomic (aop, p, args) -> catomic cx sc aop p args
 
-and subs cx sc args =
-  let args = List.map (sub cx sc) args in
-  (Array.of_list (List.map fst args), Array.of_list (List.map snd args))
+and subs cx sc args = unzip_subs (List.map (sub cx sc) args)
 
 and cbinop cx sc ~safe op a b : cexpr =
   let ia, a = sub cx sc a and ib, b = sub cx sc b in
-  if safe then fun ts ->
+  let sop = if safe then Scalar.safe_binop op else Scalar.binop op in
+  let lift = lift_binop ~safe op in
+  fun ts ->
     tick ts ib;
     let vb = b ts in
     tick ts ia;
     let va = a ts in
     match (va, vb) with
-    | R.V_scalar x, R.V_scalar y -> R.V_scalar (Scalar.safe_binop op x y)
-    | _ -> lift_binop ~safe:true op va vb
-  else fun ts ->
-    tick ts ib;
-    let vb = b ts in
-    tick ts ia;
-    let va = a ts in
-    match (va, vb) with
-    | R.V_scalar x, R.V_scalar y -> R.V_scalar (Scalar.binop op x y)
-    | _ -> lift_binop ~safe:false op va vb
+    | R.V_scalar x, R.V_scalar y -> R.V_scalar (sop x y)
+    | _ -> lift va vb
+
+(* two- and three-operand built-ins call their scalar function directly
+   when every operand is a scalar; vectors and other arities go through
+   [lift_builtin] *)
+and cbuiltin cx sc b args : cexpr =
+  match (List.map (sub cx sc) args, builtin2 b) with
+  | [ (ix, x); (iy, y) ], Some f ->
+      fun ts ->
+        tick ts ix;
+        let vx = x ts in
+        tick ts iy;
+        let vy = y ts in
+        (match (vx, vy) with
+        | R.V_scalar x, R.V_scalar y -> R.V_scalar (f x y)
+        | _ -> lift_builtin b [ vx; vy ])
+  | [ (ix, x); (il, lo); (ih, hi) ], _ when b = Op.Clamp || b = Op.Safe_clamp ->
+      fun ts ->
+        tick ts ix;
+        let vx = x ts in
+        tick ts il;
+        let vl = lo ts in
+        tick ts ih;
+        let vh = hi ts in
+        (match (vx, vl, vh) with
+        | R.V_scalar x, R.V_scalar l, R.V_scalar h -> R.V_scalar (Scalar.clamp x l h)
+        | _ -> lift_builtin b [ vx; vl; vh ])
+  | args, _ ->
+      let ids, args = unzip_subs args in
+      fun ts -> lift_builtin b (Array.to_list (run_args ts ids args))
 
 and ccall cx sc f args : cexpr =
   match List.assoc_opt f cx.funcs with
@@ -841,6 +990,18 @@ and ccall cx sc f args : cexpr =
 
 and catomic cx sc aop p args : cexpr =
   let ip, p = sub cx sc p and ids, args = subs cx sc args in
+  (* the read-modify-write's operator; the exchanges have none *)
+  let rmw =
+    match aop with
+    | Op.A_inc | Op.A_add -> Scalar.binop Op.Add
+    | Op.A_dec | Op.A_sub -> Scalar.binop Op.Sub
+    | Op.A_and -> Scalar.binop Op.BitAnd
+    | Op.A_or -> Scalar.binop Op.BitOr
+    | Op.A_xor -> Scalar.binop Op.BitXor
+    | Op.A_min -> Scalar.min_v
+    | Op.A_max -> Scalar.max_v
+    | Op.A_xchg | Op.A_cmpxchg -> Scalar.binop Op.Comma
+  in
   fun ts ->
     tick ts ip;
     let ptr = as_pointer "atomic" (p ts) in
@@ -857,15 +1018,9 @@ and catomic cx sc aop p args : cexpr =
     in
     let newv =
       match aop with
-      | Op.A_inc -> Scalar.binop Op.Add old (Scalar.one ty)
-      | Op.A_dec -> Scalar.binop Op.Sub old (Scalar.one ty)
-      | Op.A_add -> Scalar.binop Op.Add old (operand 0)
-      | Op.A_sub -> Scalar.binop Op.Sub old (operand 0)
-      | Op.A_min -> Scalar.min_v old (operand 0)
-      | Op.A_max -> Scalar.max_v old (operand 0)
-      | Op.A_and -> Scalar.binop Op.BitAnd old (operand 0)
-      | Op.A_or -> Scalar.binop Op.BitOr old (operand 0)
-      | Op.A_xor -> Scalar.binop Op.BitXor old (operand 0)
+      | Op.A_inc | Op.A_dec -> rmw old (Scalar.one ty)
+      | Op.A_add | Op.A_sub | Op.A_min | Op.A_max | Op.A_and | Op.A_or | Op.A_xor ->
+          rmw old (operand 0)
       | Op.A_xchg -> operand 0
       | Op.A_cmpxchg -> if Scalar.equal old (operand 0) then operand 1 else old
     in
@@ -885,11 +1040,21 @@ and clval cx sc (e : expr) : clval =
             let c = free_cell ts k v in
             ts.via_ptr <- false;
             R.L_cell c)
-  | Field (a, f) ->
+  | Field (a, f) -> (
       let ia, a = lsub cx sc a and cands = field_cands cx f in
-      fun ts ->
+      let generic ts =
         tick ts ia;
         field_lv ts cands f (a ts)
+      in
+      match chain_base cx sc e with
+      | Some b ->
+          fun ts ->
+            let m = base_cell ts b in
+            if m == dummy_cell then generic ts
+            else (
+              reach ts b;
+              R.L_cell m)
+      | None -> generic)
   | Arrow (a, f) ->
       let ia, a = sub cx sc a and cands = field_cands cx f in
       fun ts ->
@@ -905,33 +1070,25 @@ and clval cx sc (e : expr) : clval =
         let lv = deref_lv ts (a ts) in
         ts.via_ptr <- true;
         lv
-  | Index (a, i) ->
+  | Index (a, i) -> (
       let ii, i = sub cx sc i in
-      let base : clval =
-        if is_lvalue_shaped a then
-          let ia, a = lsub cx sc a in
+      let rest = cindexed cx sc a in
+      match chain_base cx sc a with
+      | Some b ->
+          let ia = Costwalk.expr_slot cx.index a in
           fun ts ->
-            tick ts ia;
-            a ts
-        else
-          let ia, a = sub cx sc a in
+            tick ts ii;
+            let idx = as_int "index" (i ts) in
+            let c = element (base_cell ts b) idx in
+            if c == dummy_cell then rest ts idx
+            else (
+              tick ts ia;
+              reach ts b;
+              R.L_cell c)
+      | None ->
           fun ts ->
-            tick ts ia;
-            let p = as_pointer "[]" (a ts) in
-            ts.via_ptr <- true;
-            R.L_cell p.R.target
-      in
-      fun ts ->
-        tick ts ii;
-        let idx = as_int "index" (i ts) in
-        (match base ts with
-        | R.L_cell { R.content = R.C_ptr _; _ } as ptr ->
-            (* pointer variable: a[i] = *(a + i) *)
-            let p = as_pointer "[]" (read_lv ts ptr) in
-            let lv = index_lv ts (R.L_cell p.R.target) idx in
-            ts.via_ptr <- true;
-            lv
-        | b -> index_lv ts b idx)
+            tick ts ii;
+            rest ts (as_int "index" (i ts)))
   | Swizzle (a, [ i ]) ->
       let ia, a = lsub cx sc a in
       fun ts ->
@@ -940,6 +1097,33 @@ and clval cx sc (e : expr) : clval =
         | R.L_cell c -> R.L_comp (c, i)
         | _ -> raise (Rt_crash "swizzle lvalue through union"))
   | _ -> fun _ -> raise (Rt_crash ("not an lvalue: " ^ Pp.expr_to_string e))
+
+(* [a[idx]] once the index is known: all an Index node does after
+   evaluating its index *)
+and cindexed cx sc a : thread_state -> int -> R.lvalue =
+  let base : clval =
+    if is_lvalue_shaped a then
+      let ia, a = lsub cx sc a in
+      fun ts ->
+        tick ts ia;
+        a ts
+    else
+      let ia, a = sub cx sc a in
+      fun ts ->
+        tick ts ia;
+        let p = as_pointer "[]" (a ts) in
+        ts.via_ptr <- true;
+        R.L_cell p.R.target
+  in
+  fun ts idx ->
+    match base ts with
+    | R.L_cell { R.content = R.C_ptr _; _ } as ptr ->
+        (* pointer variable: a[i] = *(a + i) *)
+        let p = as_pointer "[]" (read_lv ts ptr) in
+        let lv = index_lv ts (R.L_cell p.R.target) idx in
+        ts.via_ptr <- true;
+        lv
+    | b -> index_lv ts b idx
 
 and cinit cx sc = function
   | I_expr e ->
@@ -990,13 +1174,14 @@ and cstmt cx sc (s : stmt) : cstmt * scope =
           F_normal)
   | Assign (lhs, A_op op, rhs) ->
       let il, l = lsub cx sc lhs and ir, r = sub cx sc rhs in
+      let lift = lift_binop ~safe:false op in
       same (fun ts ->
           tick ts il;
           let lv = l ts in
           let via_ptr = ts.via_ptr in
           let old = read_lv ts lv in
           tick ts ir;
-          let v = lift_binop ~safe:false op old (r ts) in
+          let v = lift old (r ts) in
           if not (write_is_lost ts ~via_ptr) then write_lv ts lv v;
           F_normal)
   | Expr e ->
@@ -1056,10 +1241,11 @@ and cstmt cx sc (s : stmt) : cstmt * scope =
           as_scalar "dead" (e ts)
       in
       let lo = rd emi_lo and hi = rd emi_hi and body = cblock cx sc emi_body in
+      let lt = Scalar.binop Op.Lt in
       same (fun ts ->
           let vlo = lo ts in
           let vhi = hi ts in
-          if Scalar.is_true (Scalar.binop Op.Lt vhi vlo) then body ts
+          if Scalar.is_true (lt vhi vlo) then body ts
           else F_normal)
 
 (* runs its statements, each charged and ticked *)

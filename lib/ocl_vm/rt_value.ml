@@ -57,7 +57,7 @@ let rec alloc ctx space (t : Ty.t) : cell =
           C_union (n, Bytes.make (Layout.sizeof ctx.layout ctx.tyenv t) '\000')
         else
           C_struct
-            ( n,
+            ( agg.aname,
               Array.of_list
                 (List.map (fun (f : Ty.field) -> alloc ctx space f.fty) agg.fields)
             ))
@@ -160,7 +160,7 @@ let rec materialize ctx buf off (t : Ty.t) : cell =
           let offs = Layout.field_offsets ctx.layout ctx.tyenv agg in
           let fields = Array.of_list agg.fields in
           C_struct
-            ( n,
+            ( agg.aname,
               Array.of_list
                 (List.mapi
                    (fun i (_, foff) ->

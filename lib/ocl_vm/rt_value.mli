@@ -19,7 +19,9 @@ type cell = private {
 and content =
   | C_scalar of Scalar.t
   | C_vector of Vecval.t
-  | C_struct of string * cell array  (** aggregate name, field cells *)
+  | C_struct of string * cell array
+      (** the aggregate's own [aname] (so a name test can compare physically
+          first), field cells *)
   | C_union of string * Bytes.t
   | C_array of Ty.t * cell array  (** element type, element cells *)
   | C_ptr of pointer option  (** [None] = null / uninitialised *)

@@ -45,7 +45,11 @@ val binop : Op.binop -> t -> t -> t
     and logical operators yield [int] 0/1. [Comma] yields the second operand.
     Division/modulo by zero yields the dividend (matching the [safe_]
     fallback so the totalisation is consistent); shift amounts are taken
-    modulo the width. *)
+    modulo the width.
+
+    The operator is dispatched on when [binop op] is applied: the partial
+    application returns the function for [op] alone, so a caller that
+    applies one operator many times binds [binop op] once. *)
 
 val usual_arithmetic_conversion : Ty.scalar -> Ty.scalar -> Ty.scalar
 (** C99 usual arithmetic conversions restricted to the 8 OpenCL integer
@@ -58,7 +62,8 @@ val safe_binop : Op.binop -> t -> t -> t
     when the plain operation would be undefined (signed overflow, division
     by zero, [INT_MIN / -1], negative or oversized shift, left-shift
     overflow), the result is the (converted) first operand. Operators
-    without undefined behaviour defer to {!binop}. *)
+    without undefined behaviour defer to {!binop}. Like {!binop}, it
+    dispatches on the operator when partially applied. *)
 
 val safe_neg : t -> t
 (** [safe_unary_minus]: the minimum signed value negates to itself. *)

@@ -43,18 +43,18 @@ let map2 f a b =
     invalid_arg "Vecval.map2: length mismatch";
   { elem = a.elem; comps = Array.map2 f a.comps b.comps }
 
-let binop op a b =
-  if Op.is_comparison op then
+let binop op =
+  let sop = Scalar.binop op in
+  if Op.is_comparison op then fun a b ->
     (* Vector comparisons yield 0 / all-ones in the signed type of the
        element width. *)
     let rty = { a.elem with Ty.sign = Ty.Signed } in
     let f x y =
-      if Scalar.is_true (Scalar.binop op x y) then Scalar.make rty (-1L)
-      else Scalar.zero rty
+      if Scalar.is_true (sop x y) then Scalar.make rty (-1L) else Scalar.zero rty
     in
     { elem = rty; comps = Array.map2 f a.comps b.comps }
-  else
-    let comps = Array.map2 (Scalar.binop op) a.comps b.comps in
+  else fun a b ->
+    let comps = Array.map2 sop a.comps b.comps in
     let elem = if Array.length comps > 0 then (comps.(0)).Scalar.ty else a.elem in
     { elem; comps = Array.map (Scalar.convert elem) comps }
 

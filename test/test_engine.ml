@@ -215,6 +215,130 @@ let hand_built () =
 let test_hand_built () =
   List.iter (fun (label, tc, config) -> ignore (agree ?config label tc)) (hand_built ())
 
+(* ------------------------------------------------------------------ *)
+(* Fused access chains: every shape a fused closure hands over to the  *)
+(* generic closures, and the fused paths in shared memory              *)
+(* ------------------------------------------------------------------ *)
+
+let crashes = function Outcome.Crash _ -> true | _ -> false
+let succeeds = function Outcome.Success _ -> true | _ -> false
+
+let handoffs () =
+  let s = struct_ "S" [ sfield "c" Ty.short; sfield "d" Ty.long ] in
+  let u = union_ "U" [ sfield "a" Ty.uint; sfield "b" (Ty.Named "S") ] in
+  let t = struct_ "T" [ sfield "n" Ty.int; sfield "a" (Ty.Arr (Ty.int, 3)) ] in
+  let spin = func "spin" Ty.int [] [ while_ (ci 1) []; ret (ci 0) ] in
+  let kt body = kernel1 ~aggregates:[ s; u; t ] ~funcs:[ spin ] "k" body in
+  let ptr sp name = Ty.Ptr (sp, Ty.Named name) in
+  let pt = decl "t" (Ty.Named "T") :: [ decle "p" (ptr Ty.Private "T") (addr (v "t")) ] in
+  let member_elem i = idx (field (deref (v "p")) "a") i in
+  let ints = decl ~init:(il [ ie (ci 5); ie (ci 6); ie (ci 7) ]) "a" (Ty.Arr (Ty.int, 3)) in
+  [
+    ( "(*p).f into a union",
+      testcase
+        (kt
+           [
+             decl "u" (Ty.Named "U");
+             decle "p" (ptr Ty.Private "U") (addr (v "u"));
+             assign (field (deref (v "p")) "a") (cu 0x01020304);
+             assign (field (field (deref (v "p")) "b") "c") (ci 7);
+             store (field (deref (v "p")) "a" + field (field (deref (v "p")) "b") "c");
+           ]),
+      succeeds );
+    ( "(*p).f and *p on arrays",
+      testcase
+        (kt
+           [
+             decl
+               ~init:(il [ il [ ie (ci 1); ie (ci 2) ]; il [ ie (ci 3); ie (ci 4) ] ])
+               "arr" (Ty.Arr (Ty.Named "S", 2));
+             decle "p" (ptr Ty.Private "S") (addr (v "arr"));
+             assign (field (deref (v "p")) "c") (ci 9);
+             ints;
+             decle "q" (Ty.Ptr (Ty.Private, Ty.int)) (addr (v "a"));
+             store
+               (field (deref (v "p")) "c"
+               + field (idx (v "arr") (ci 1)) "d"
+               + deref (v "q"));
+           ]),
+      succeeds );
+    ( "p[i] on pointer variables",
+      testcase
+        (kt
+           [
+             ints;
+             decle "p" (Ty.Ptr (Ty.Private, Ty.Arr (Ty.int, 3))) (addr (v "a"));
+             assign (idx (v "p") (ci 2)) (ci 70);
+             store (idx (v "p") (ci 1) + idx (v "p") (ci 2) + idx (v "a") (ci 0));
+             store (idx (v "out") tid_linear + ci 1);
+           ]),
+      succeeds );
+    ( "(*p).a[i] in range",
+      testcase
+        (kt
+           (pt
+           @ [
+               assign (member_elem (ci 2)) (ci 4);
+               store (member_elem (ci 2) + field (deref (v "p")) "n");
+             ])),
+      succeeds );
+    ( "(*p).a[i] read out of range",
+      testcase (kt (pt @ [ store (member_elem (ci 3)) ])),
+      crashes );
+    ( "(*p).a[i] written out of range",
+      testcase (kt (pt @ [ assign (member_elem (ci (-1))) (ci 4); store (ci 0) ])),
+      crashes );
+    ("x[i] read out of range", testcase (kt [ ints; store (idx (v "a") (ci 3)) ]), crashes);
+    ( "fuel runs out in a fused read's index",
+      testcase (kt (pt @ [ store (member_elem (call "spin" [])) ])),
+      fun o -> o = Outcome.Timeout );
+    ( "fuel runs out in x[i]'s index",
+      testcase (kt [ ints; store (idx (v "a") (call "spin" [])) ]),
+      fun o -> o = Outcome.Timeout );
+    ( "(*p).f in local and global memory",
+      grid2
+        (kt
+           [
+             decl ~space:Ty.Local "ls" (Ty.Named "S");
+             decle "lp" (ptr Ty.Local "S") (addr (v "ls"));
+             if_ (lid_linear == ci 0) [ assign (field (deref (v "lp")) "d") (ci 11) ];
+             barrier;
+             decl ~space:Ty.Global "gs" (Ty.Named "S");
+             decle "gp" (ptr Ty.Global "S") (addr (v "gs"));
+             assign (field (deref (v "gp")) "c") (cast Ty.short lid_linear);
+             store (field (deref (v "lp")) "d" + field (deref (v "gp")) "c");
+           ]),
+      succeeds );
+    ( "(*p).f racing in local memory",
+      grid2
+        (kt
+           [
+             decl ~space:Ty.Local "ls" (Ty.Named "S");
+             decle "lp" (ptr Ty.Local "S") (addr (v "ls"));
+             assign (field (deref (v "lp")) "c") (cast Ty.short lid_linear);
+             store (field (deref (v "lp")) "c");
+           ]),
+      succeeds );
+  ]
+
+(* the one kernel above whose race detector must fire *)
+let racy = "(*p).f racing in local memory"
+
+(* each against the walker with races off and on; [agree] runs both
+   profiled and unprofiled. The expected outcome proves the kernel
+   reaches the shape it is named for. *)
+let test_handoffs () =
+  List.iter
+    (fun (label, tc, expect) ->
+      let plain = agree label tc in
+      Alcotest.(check bool) (label ^ ": outcome") true (expect plain);
+      let raced = agree ~config:detecting (label ^ ", races on") tc in
+      Alcotest.(check bool) (label ^ ": races on") true
+        (if String.equal label racy then
+           match raced with Outcome.Ub _ -> true | _ -> false
+         else raced = plain))
+    (handoffs ())
+
 let test_benchmarks () =
   List.iter
     (fun (b : Suite.benchmark) ->
@@ -386,6 +510,7 @@ let () =
       ( "hand-built",
         [
           Alcotest.test_case "interp and race kernels" `Quick test_hand_built;
+          Alcotest.test_case "fused chains' hand-offs" `Quick test_handoffs;
           Alcotest.test_case "benchmark ports, races on" `Quick test_benchmarks;
           Alcotest.test_case "figure 1/2 exhibits" `Quick test_exhibits;
           Alcotest.test_case "test_race's generated kernels" `Quick test_race_kernels;

@@ -217,6 +217,132 @@ let properties =
           (Scalar.binop Op.Add (Scalar.of_int i32 a) (Scalar.of_int i32 b)));
   ]
 
+(* ---------- oracle: the reference implementation ---------- *)
+
+(* Scalar_ref is the original generic implementation, which dispatched
+   on the operator and recomputed conversions at every call. Every
+   function of the specialised Scalar must match it in value and type;
+   walker.ml shares Scalar with the engine, so only this oracle catches
+   an arithmetic slip. *)
+
+let binops =
+  Op.[ Add; Sub; Mul; Div; Mod; Shl; Shr; BitAnd; BitOr; BitXor; LogAnd; LogOr;
+       Eq; Ne; Lt; Gt; Le; Ge; Comma ]
+
+let show v ty = Printf.sprintf "%Ld : %s" v (Ty.scalar_name ty)
+let mine x = show (Scalar.to_int64 x) (Scalar.ty x)
+let theirs (x : Scalar_ref.t) = show x.v x.ty
+
+(* each function on three operands and a target type, in both
+   implementations, rendered for comparison *)
+let oracle_cases :
+    (string
+    * (Scalar.t -> Scalar.t -> Scalar.t -> Ty.scalar -> string)
+    * (Scalar_ref.t -> Scalar_ref.t -> Scalar_ref.t -> Ty.scalar -> string))
+    list =
+  let bin name f g = (name, (fun a b _ _ -> mine (f a b)), fun a b _ _ -> theirs (g a b)) in
+  let un name f g = (name, (fun a _ _ _ -> mine (f a)), fun a _ _ _ -> theirs (g a)) in
+  List.concat_map
+    (fun op ->
+      let name = Op.binop_to_string op in
+      [ bin name (Scalar.binop op) (Scalar_ref.binop op);
+        bin ("safe " ^ name) (Scalar.safe_binop op) (Scalar_ref.safe_binop op) ])
+    binops
+  @ [
+      un "neg" Scalar.neg Scalar_ref.neg;
+      un "bit_not" Scalar.bit_not Scalar_ref.bit_not;
+      un "log_not" Scalar.log_not Scalar_ref.log_not;
+      un "safe_neg" Scalar.safe_neg Scalar_ref.safe_neg;
+      un "abs" Scalar.abs_v Scalar_ref.abs_v;
+      bin "rotate" Scalar.rotate Scalar_ref.rotate;
+      bin "min" Scalar.min_v Scalar_ref.min_v;
+      bin "max" Scalar.max_v Scalar_ref.max_v;
+      bin "add_sat" Scalar.add_sat Scalar_ref.add_sat;
+      bin "sub_sat" Scalar.sub_sat Scalar_ref.sub_sat;
+      bin "hadd" Scalar.hadd Scalar_ref.hadd;
+      bin "mul_hi" Scalar.mul_hi Scalar_ref.mul_hi;
+      ( "clamp",
+        (fun a b c _ -> mine (Scalar.clamp a b c)),
+        fun a b c _ -> theirs (Scalar_ref.clamp a b c) );
+      ( "convert",
+        (fun a _ _ t -> mine (Scalar.convert t a)),
+        fun a _ _ t -> theirs (Scalar_ref.convert t a) );
+      ( "make",
+        (fun a _ _ t -> mine (Scalar.make t (Scalar.to_int64 a))),
+        fun a _ _ t -> theirs (Scalar_ref.make t a.Scalar_ref.v) );
+      ( "equal",
+        (fun a b _ _ -> string_of_bool (Scalar.equal a b)),
+        fun a b _ _ -> string_of_bool (Scalar_ref.equal a b) );
+      ( "usual_arith",
+        (fun a b _ _ ->
+          Ty.scalar_name (Scalar.usual_arithmetic_conversion (Scalar.ty a) (Scalar.ty b))),
+        fun a b _ _ ->
+          Ty.scalar_name (Scalar_ref.usual_arithmetic_conversion a.ty b.ty) );
+    ]
+
+(* the first function that disagrees with the reference, if any *)
+let disagreement (ta, a) (tb, b) (tc, c) t =
+  let x = Scalar.make ta a and y = Scalar.make tb b and z = Scalar.make tc c in
+  let x' = Scalar_ref.make ta a and y' = Scalar_ref.make tb b and z' = Scalar_ref.make tc c in
+  List.find_map
+    (fun (name, f, g) ->
+      let got = f x y z t and want = g x' y' z' t in
+      if String.equal got want then None
+      else
+        Some
+          (Printf.sprintf "%s on %s, %s, %s (target %s): got %s, reference %s" name
+             (show a ta) (show b tb) (show c tc) (Ty.scalar_name t) got want))
+    oracle_cases
+
+(* a type's bounds and their neighbours, and the small values and shift
+   counts where the per-width normalisations and overflow rules turn *)
+let edges ty =
+  let lo = Ty.min_value ty and hi = Ty.max_value ty in
+  [ lo; Int64.succ lo; Int64.pred hi; hi; -1L; 0L; 1L; 2L; 7L; 8L; 31L; 32L; 33L; 63L; 64L ]
+
+let edge_operands =
+  List.concat_map (fun ty -> List.map (fun b -> (ty, b)) (edges ty)) Ty.all_scalars
+
+(* every pair of edge operands (the third is the second again, the
+   target the second's type) *)
+let test_edge_grid () =
+  List.iter
+    (fun a ->
+      List.iter
+        (fun ((tb, _) as b) ->
+          match disagreement a b b tb with
+          | Some m -> Alcotest.fail m
+          | None -> ())
+        edge_operands)
+    edge_operands
+
+(* random triples: half of them share one type, and values lean to that
+   type's edges *)
+let prop_matches_reference =
+  let open QCheck2.Gen in
+  let gen =
+    let* shared = bool and* t0 = oneofl Ty.all_scalars in
+    let operand =
+      let* ty = if shared then pure t0 else oneofl Ty.all_scalars in
+      let+ bits =
+        frequency
+          [ (3, oneofl (edges ty)); (1, int64); (1, map Int64.of_int (int_range (-300) 300)) ]
+      in
+      (ty, bits)
+    in
+    tup4 operand operand operand (oneofl Ty.all_scalars)
+  in
+  let print ((ta, a), (tb, b), (tc, c), t) =
+    Printf.sprintf "%s, %s, %s (target %s)" (show a ta) (show b tb) (show c tc)
+      (Ty.scalar_name t)
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:20_000 ~name:"every function matches Scalar_ref" ~print gen
+       (fun (a, b, c, t) ->
+         match disagreement a b c t with
+         | Some m -> QCheck2.Test.fail_report m
+         | None -> true))
+
 let () =
   Alcotest.run "scalar"
     [
@@ -239,4 +365,6 @@ let () =
           Alcotest.test_case "mul_hi" `Quick test_mul_hi;
         ] );
       ("properties", properties);
+      ( "oracle",
+        [ Alcotest.test_case "edge grid = Scalar_ref" `Quick test_edge_grid; prop_matches_reference ] );
     ]
