@@ -1,80 +1,29 @@
 (* ------------------------------------------------------------------ *)
-(* Beat and span wire codecs                                           *)
+(* Span wire codec                                                     *)
 (* ------------------------------------------------------------------ *)
-
-type beat = {
-  completed : int;
-  ewma_milli : int;
-  queue_depth : int;
-  rss_kb : int;
-  stage_us : (string * int) list;
-}
-
-let beat_version = 1
-
-let stage_json stages =
-  Jsonl.Obj (List.map (fun (cat, us) -> (cat, Jsonl.Int us)) stages)
-
-let stage_of_json = function
-  | Some (Jsonl.Obj fields) ->
-      let parsed =
-        List.filter_map
-          (fun (cat, v) -> Option.map (fun us -> (cat, us)) (Jsonl.get_int v))
-          fields
-      in
-      if List.length parsed = List.length fields then Some parsed else None
-  | None -> Some []
-  | _ -> None
-
-let beat_to_json b =
-  Jsonl.Obj
-    [
-      ("bv", Jsonl.Int beat_version);
-      ("completed", Jsonl.Int b.completed);
-      ("ewma_milli", Jsonl.Int b.ewma_milli);
-      ("queue", Jsonl.Int b.queue_depth);
-      ("rss_kb", Jsonl.Int b.rss_kb);
-      ("stage_us", stage_json b.stage_us);
-    ]
-
-let beat_of_json j =
-  let int name = Option.bind (Jsonl.member name j) Jsonl.get_int in
-  match int "bv" with
-  | None -> Error "beat stats: missing version"
-  | Some bv when bv < 1 -> Error (Printf.sprintf "beat stats: bad version %d" bv)
-  | Some _ -> (
-      (* a future version may add fields; this reader needs only these *)
-      match
-        ( int "completed",
-          int "ewma_milli",
-          int "queue",
-          int "rss_kb",
-          stage_of_json (Jsonl.member "stage_us" j) )
-      with
-      | Some completed, Some ewma_milli, Some queue_depth, Some rss_kb,
-        Some stage_us ->
-          Ok { completed; ewma_milli; queue_depth; rss_kb; stage_us }
-      | _ -> Error "beat stats: malformed")
 
 let span_to_json (s : Span.t) =
   Jsonl.Obj
-    ([
-       ("c", Jsonl.Str s.Span.cat);
-       ("n", Jsonl.Str s.Span.name);
-       ("t0", Jsonl.Int (Int64.to_int s.Span.t0_ns));
-       ("d", Jsonl.Int (Int64.to_int s.Span.dur_ns));
-       ("dm", Jsonl.Int s.Span.domain);
-       ("tk", Jsonl.Int s.Span.task);
-     ]
-    (* flow fields only when set, so unlinked spans keep v1 bytes *)
-    @ (if s.Span.flow >= 0 then [ ("f", Jsonl.Int s.Span.flow) ] else [])
-    @ if s.Span.flow_n > 0 then [ ("fn", Jsonl.Int s.Span.flow_n) ] else [])
+    [
+      ("c", Jsonl.Str s.Span.cat);
+      ("n", Jsonl.Str s.Span.name);
+      ("t0", Jsonl.Int (Int64.to_int s.Span.t0_ns));
+      ("d", Jsonl.Int (Int64.to_int s.Span.dur_ns));
+      ("dm", Jsonl.Int s.Span.domain);
+      ("tk", Jsonl.Int s.Span.task);
+      ("f", Jsonl.Int s.Span.flow);
+      ("fn", Jsonl.Int s.Span.flow_n);
+    ]
 
 let span_of_json j =
   let int name = Option.bind (Jsonl.member name j) Jsonl.get_int in
   let str name = Option.bind (Jsonl.member name j) Jsonl.get_str in
-  match (str "c", str "n", int "t0", int "d", int "dm", int "tk") with
-  | Some cat, Some name, Some t0, Some d, Some domain, Some task ->
+  match
+    ( (str "c", str "n", int "t0", int "d"),
+      (int "dm", int "tk", int "f", int "fn") )
+  with
+  | ( (Some cat, Some name, Some t0, Some d),
+      (Some domain, Some task, Some flow, Some flow_n) ) ->
       Some
         {
           Span.cat;
@@ -83,8 +32,8 @@ let span_of_json j =
           dur_ns = Int64.of_int d;
           domain;
           task;
-          flow = Option.value ~default:(-1) (int "f");
-          flow_n = Option.value ~default:0 (int "fn");
+          flow;
+          flow_n;
         }
   | _ -> None
 
@@ -103,7 +52,9 @@ type wstate = {
      one socket drain cannot inflate the rate the way per-cell
      inter-arrival deltas would *)
   rate : int Series.t;
-  mutable beat : beat option;
+  mutable queue_depth : int;  (** from the last beat *)
+  mutable rss_kb : int;  (** from the last beat *)
+  mutable stage_us : (string * int) list;  (** tally of shipped spans *)
   mutable leases : (int * int64) list;  (** lease id -> grant time *)
   lease_ms : int Series.t;  (** recent grant-to-done latencies *)
   mutable spans_rev : Span.t list;
@@ -118,24 +69,19 @@ type t = {
   m : Mutex.t;
   total : int;
   t0_ns : int64;
-  stale_ms : int;
-  straggler_pct : int;
   workers : (int, wstate) Hashtbl.t;
   mutable local_cells : int;
 }
 
-let default_stale_ms = 10_000
-let default_straggler_pct = 50
+let stale_ms = 10_000
+let straggler_pct = 50
 let lease_window = 64
 
-let create ?(stale_ms = default_stale_ms)
-    ?(straggler_pct = default_straggler_pct) ~total ~now () =
+let create ~total ~now () =
   {
     m = Mutex.create ();
     total;
     t0_ns = now;
-    stale_ms;
-    straggler_pct;
     workers = Hashtbl.create 8;
     local_cells = 0;
   }
@@ -157,7 +103,9 @@ let state t ~worker ~now =
           cells = 0;
           last_ns = now;
           rate = Series.rate_window ();
-          beat = None;
+          queue_depth = 0;
+          rss_kb = 0;
+          stage_us = [];
           leases = [];
           lease_ms = Series.create ~capacity:lease_window ~interval_ns:0L;
           spans_rev = [];
@@ -190,11 +138,12 @@ let on_leave t ~worker ~now =
       st.alive <- false;
       st.leases <- [])
 
-let on_beat t ~worker ~now b =
+let on_beat t ~worker ~now ~queue_depth ~rss_kb =
   locked t (fun () ->
       let st = state t ~worker ~now in
       st.last_ns <- now;
-      (match b with Some _ -> st.beat <- b | None -> ());
+      st.queue_depth <- queue_depth;
+      st.rss_kb <- rss_kb;
       sample st now)
 
 let on_cell t ~worker ~now =
@@ -241,7 +190,8 @@ let on_metrics t ~worker counters =
 let add_spans t ~worker spans =
   locked t (fun () ->
       let st = state t ~worker ~now:0L in
-      st.spans_rev <- List.rev_append spans st.spans_rev)
+      st.spans_rev <- List.rev_append spans st.spans_rev;
+      st.stage_us <- Span.tally (Span.stage_us spans @ st.stage_us))
 
 let note_local t n = locked t (fun () -> t.local_cells <- t.local_cells + n)
 
@@ -281,7 +231,6 @@ type row = {
   alive : bool;
   cells : int;
   rate_milli : int;
-  beat_completed : int;
   queue_depth : int;
   rss_kb : int;
   leases : int;
@@ -308,22 +257,15 @@ type snapshot = {
   rows : row list;
 }
 
-(* the coordinator-side rate sees fresh cells even from old-protocol
-   workers; while it reads 0, trust the worker's own *)
-let effective_rate (st : wstate) now =
-  match Series.rate_milli st.rate ~now st.cells with
-  | 0 -> ( match st.beat with Some b -> b.ewma_milli | None -> 0)
-  | r -> r
-
 let snapshot t ~now ~collected ~in_flight =
   locked t (fun () ->
       let states = sorted_states t in
       List.iter (fun st -> sample st now) states;
-      let effective_rate st = effective_rate st now in
+      let rate (st : wstate) = Series.rate_milli st.rate ~now st.cells in
       let rates =
         List.filter_map
           (fun (st : wstate) ->
-            let r = effective_rate st in
+            let r = rate st in
             if st.alive && r > 0 then Some r else None)
           states
       in
@@ -334,14 +276,14 @@ let snapshot t ~now ~collected ~in_flight =
       in
       let stale (st : wstate) =
         Int64.compare (Int64.sub now st.last_ns)
-          (Int64.mul (Int64.of_int t.stale_ms) 1_000_000L)
+          (Int64.mul (Int64.of_int stale_ms) 1_000_000L)
         >= 0
       in
       let is_straggler (st : wstate) =
         st.alive
         && ((st.leases <> [] && stale st)
            || (List.length rates >= 2
-              && effective_rate st * 100 < t.straggler_pct * median))
+              && rate st * 100 < straggler_pct * median))
       in
       let rows =
         List.map
@@ -355,12 +297,9 @@ let snapshot t ~now ~collected ~in_flight =
               pid = st.pid;
               alive = st.alive;
               cells = st.cells;
-              rate_milli = effective_rate st;
-              beat_completed =
-                (match st.beat with Some b -> b.completed | None -> -1);
-              queue_depth =
-                (match st.beat with Some b -> b.queue_depth | None -> 0);
-              rss_kb = (match st.beat with Some b -> b.rss_kb | None -> 0);
+              rate_milli = rate st;
+              queue_depth = st.queue_depth;
+              rss_kb = st.rss_kb;
               leases = List.length st.leases;
               lease_p50_ms = lease_pct 50;
               lease_p90_ms = lease_pct 90;
@@ -377,7 +316,7 @@ let snapshot t ~now ~collected ~in_flight =
       in
       let fleet_milli =
         List.fold_left
-          (fun acc (st : wstate) -> if st.alive then acc + effective_rate st else acc)
+          (fun acc (st : wstate) -> if st.alive then acc + rate st else acc)
           0 states
       in
       let remaining = t.total - collected in
@@ -387,11 +326,7 @@ let snapshot t ~now ~collected ~in_flight =
         else -1
       in
       let stage_us =
-        Span.tally
-          (List.concat_map
-             (fun (st : wstate) ->
-               match st.beat with None -> [] | Some b -> b.stage_us)
-             states)
+        Span.tally (List.concat_map (fun (st : wstate) -> st.stage_us) states)
       in
       {
         total = t.total;
@@ -413,7 +348,20 @@ let snapshot t ~now ~collected ~in_flight =
 (* Status line codec                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let status_version = 1
+let status_version = 2
+
+let stage_json stages =
+  Jsonl.Obj (List.map (fun (cat, us) -> (cat, Jsonl.Int us)) stages)
+
+let stage_of_json = function
+  | Some (Jsonl.Obj fields) ->
+      let parsed =
+        List.filter_map
+          (fun (cat, v) -> Option.map (fun us -> (cat, us)) (Jsonl.get_int v))
+          fields
+      in
+      if List.length parsed = List.length fields then Some parsed else None
+  | _ -> None
 
 let row_to_json r =
   Jsonl.Obj
@@ -424,7 +372,6 @@ let row_to_json r =
       ("alive", Jsonl.Bool r.alive);
       ("cells", Jsonl.Int r.cells);
       ("rate_milli", Jsonl.Int r.rate_milli);
-      ("completed", Jsonl.Int r.beat_completed);
       ("queue", Jsonl.Int r.queue_depth);
       ("rss_kb", Jsonl.Int r.rss_kb);
       ("leases", Jsonl.Int r.leases);
@@ -446,13 +393,13 @@ let row_of_json j =
   in
   match
     ( (int "w", str "host", int "pid", bool "alive", int "cells"),
-      (int "rate_milli", int "completed", int "queue", int "rss_kb"),
+      (int "rate_milli", int "queue", int "rss_kb"),
       (int "leases", int "lease_p50_ms", int "lease_p90_ms", int "last_ms"),
       (int "frames_in", int "bytes_in", int "frames_out", int "bytes_out"),
       bool "straggler" )
   with
   | ( (Some worker, Some host, Some pid, Some alive, Some cells),
-      (Some rate_milli, Some beat_completed, Some queue_depth, Some rss_kb),
+      (Some rate_milli, Some queue_depth, Some rss_kb),
       (Some leases, Some lease_p50_ms, Some lease_p90_ms, Some last_ms),
       (Some frames_in, Some bytes_in, Some frames_out, Some bytes_out),
       Some straggler ) ->
@@ -464,7 +411,6 @@ let row_of_json j =
           alive;
           cells;
           rate_milli;
-          beat_completed;
           queue_depth;
           rss_kb;
           leases;

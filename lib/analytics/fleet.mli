@@ -1,5 +1,6 @@
 (** Coordinator-side fleet telemetry: fold worker heartbeats, streamed
-    cells and lease lifecycle into a live per-worker/fleet view.
+    cells, shipped spans and lease lifecycle into a live
+    per-worker/fleet view.
 
     The distributed fabric's deterministic output (journal, eventlog,
     tables) flows through the ordered merge and never touches this
@@ -8,57 +9,38 @@
     serving thread; the status surface and the watchdog read snapshots
     from other threads — every operation takes an internal mutex.
 
-    Two throughput estimates coexist per worker: the coordinator-side
-    rate of {e fresh} streamed cells (survives an old-protocol worker
-    that sends bare beats) and the worker's own self-reported rate from
-    its stats beat. Both are the growth over a few one-second samples
-    ({!Series.rate_window}). {!snapshot} prefers the coordinator-side
-    figure and falls back to the beat's while it reads 0.
+    Each fact is recorded once, from the message that carries it: a
+    worker's throughput is the rate of the {e fresh} cells it streamed
+    (the growth over a few one-second samples, {!Series.rate_window}),
+    its stage tally the sum of the span batches it shipped on [Done],
+    and only its queue depth and RSS come from its heartbeat.
 
-    Straggler rule: a live worker holding a lease whose heartbeat went
-    stale (it stopped beating mid-lease), or — once at least two
-    workers report a positive rate — a live worker whose effective
-    rate is below [straggler_pct]% of the fleet median. *)
-
-(** One stats-carrying heartbeat, as shipped inside [Proto.Beat]. *)
-type beat = {
-  completed : int;  (** cells executed by the worker so far *)
-  ewma_milli : int;
-      (** self-measured throughput, milli-cells/s ({!Series.rate_milli};
-          the member keeps its original wire name) *)
-  queue_depth : int;  (** local pool tasks in flight *)
-  rss_kb : int;  (** resident set size; 0 when unknown *)
-  stage_us : (string * int) list;
-      (** cumulative per-stage-category microseconds from drained
-          spans; empty unless the coordinator armed telemetry *)
-}
-
-val beat_version : int
-(** Version stamped into the encoded stats object: 1. *)
-
-val beat_to_json : beat -> Jsonl.t
-val beat_of_json : Jsonl.t -> (beat, string) result
+    Straggler rule: a live worker holding a lease that showed no sign
+    of life (a streamed cell, a beat or a [Done]) for 10 s, or — once
+    at least two workers report a positive rate — a live worker whose
+    rate is below half the fleet median. *)
 
 val span_to_json : Span.t -> Jsonl.t
-(** Wire form of one span (nanosecond ints fit {!Jsonl.Int}). *)
+(** Wire form of one span, every field always present (nanosecond ints
+    fit {!Jsonl.Int}). *)
 
 val span_of_json : Jsonl.t -> Span.t option
+(** [None] when a field is missing or ill-typed. *)
 
 type t
 
-val create : ?stale_ms:int -> ?straggler_pct:int -> total:int -> now:int64 -> unit -> t
+val create : total:int -> now:int64 -> unit -> t
 (** [total] is the campaign's full cell count; [now] a monotonic
     timestamp (all clocks are passed in, keeping the fold
-    deterministic under test). [stale_ms] (default 10000) bounds how
-    long a leased worker may go silent before it is a straggler;
-    [straggler_pct] (default 50) is the median-relative rate floor. *)
+    deterministic under test). *)
 
 val on_join : t -> worker:int -> pid:int -> host:string -> now:int64 -> unit
 val on_leave : t -> worker:int -> now:int64 -> unit
 
-val on_beat : t -> worker:int -> now:int64 -> beat option -> unit
-(** A heartbeat arrived; [None] is a bare (old-format) beat — it
-    refreshes liveness but carries no stats. *)
+val on_beat :
+  t -> worker:int -> now:int64 -> queue_depth:int -> rss_kb:int -> unit
+(** A heartbeat arrived: it refreshes liveness and carries the worker's
+    local pool tasks in flight and its resident set size. *)
 
 val on_cell : t -> worker:int -> now:int64 -> unit
 (** One fresh cell streamed by [worker] (duplicates excluded), feeding
@@ -76,6 +58,8 @@ val on_metrics : t -> worker:int -> (string * int) list -> unit
     under ["fleet.<name>"], building the fleet-wide metrics view. *)
 
 val add_spans : t -> worker:int -> Span.t list -> unit
+(** One span batch shipped on [Done]: kept for {!span_groups} and
+    folded into the worker's stage tally ({!Span.stage_us}). *)
 
 val span_groups : t -> (string * Span.t list) list
 (** Shipped span buffers grouped per worker in id order, labelled
@@ -91,10 +75,9 @@ type row = {
   pid : int;
   alive : bool;
   cells : int;  (** fresh cells streamed by this worker *)
-  rate_milli : int;  (** effective throughput, milli-cells/s *)
-  beat_completed : int;  (** worker-reported executed count; -1 unknown *)
-  queue_depth : int;
-  rss_kb : int;
+  rate_milli : int;  (** fresh-cell throughput, milli-cells/s *)
+  queue_depth : int;  (** from the last beat *)
+  rss_kb : int;  (** from the last beat; 0 unknown *)
   leases : int;  (** leases currently held *)
   lease_p50_ms : int;  (** rolling lease-latency percentiles; 0 empty *)
   lease_p90_ms : int;
@@ -114,7 +97,9 @@ type snapshot = {
   fleet_milli : int;  (** summed live-worker rate, milli-cells/s *)
   eta_ms : int;  (** -1 when the rate gives no estimate *)
   local_cells : int;
-  stage_us : (string * int) list;  (** summed over workers' last beats *)
+  stage_us : (string * int) list;
+      (** per-category span time of every batch the workers shipped;
+          empty unless telemetry was armed *)
   stragglers : int list;
   rows : row list;  (** worker id order *)
 }
@@ -127,7 +112,7 @@ val snapshot : t -> now:int64 -> collected:int -> in_flight:int -> snapshot
     only knows per-worker attribution, not the grid's resume state). *)
 
 val status_version : int
-(** Schema version stamped into {!snapshot_to_line}: 1. *)
+(** Schema version stamped into {!snapshot_to_line}: 2. *)
 
 val snapshot_to_line : campaign:string -> phase:string -> snapshot -> string
 (** One checksummed JSONL object (no trailing newline) — the

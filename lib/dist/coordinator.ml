@@ -227,7 +227,7 @@ let serve ~addr ~spec ~workers ?chunk ?(lease_ttl_ms = default_ttl_ms) ?resume
                 on_cell cell;
                 on_event (Progress (Lease.collected tracker, Lease.total tracker))
             | `Dup | `Out_of_range -> ())
-        | Proto.Done { lease_id; spans; metrics; _ } ->
+        | Proto.Done { lease_id; spans; metrics } ->
             (match conn.worker with
             | Some w ->
                 fl (fun t ->
@@ -245,11 +245,12 @@ let serve ~addr ~spec ~workers ?chunk ?(lease_ttl_ms = default_ttl_ms) ?resume
             | None -> ());
             Lease.finish tracker ~lease_id;
             conn.idle <- true
-        | Proto.Beat b -> (
+        | Proto.Beat { queue_depth; rss_kb } -> (
             match conn.worker with
             | Some w ->
                 Lease.beat_worker tracker ~worker:w ~now;
-                fl (fun t -> Fleet.on_beat t ~worker:w ~now b)
+                fl (fun t ->
+                    Fleet.on_beat t ~worker:w ~now ~queue_depth ~rss_kb)
             | None -> ())
         | Proto.Welcome _ | Proto.Sync _ | Proto.Lease _ | Proto.Shutdown ->
             raise (Drop "unexpected message from worker")

@@ -5,7 +5,7 @@ type progress =
 
 let default_retries = 20
 let retry_pause = 0.5
-let default_beat_ms = 1000
+let beat_ms = 1000
 
 exception Fail of string
 
@@ -34,15 +34,13 @@ let connect ~addr ~retries =
   | Ok fd -> fd
   | Error e -> raise (Fail e)
 
-(* the heartbeat domain: samples its own cell-completion count between
-   naps and ships a stats beat. Sends share the connection mutex with
-   the serving domain; a send failure here is swallowed — the serving
-   domain will hit the same broken socket and report it properly *)
-let beater ~send ~stop ~done_cells ~stages ~beat_ms =
+(* the heartbeat domain: ships liveness with the local pool's queue
+   depth and the RSS between naps. Sends share the connection mutex
+   with the serving domain; a send failure here is swallowed — the
+   serving domain will hit the same broken socket and report it
+   properly *)
+let beater ~send ~stop =
   Domain.spawn (fun () ->
-      let rate = Series.rate_window () in
-      Series.push rate ~now:(Mclock.now_ns ()) (Atomic.get done_cells);
-      let naps = max 1 (beat_ms / 100) in
       let rec nap n =
         if n > 0 && not (Atomic.get stop) then begin
           Unix.sleepf 0.1;
@@ -50,32 +48,20 @@ let beater ~send ~stop ~done_cells ~stages ~beat_ms =
         end
       in
       while not (Atomic.get stop) do
-        nap naps;
+        nap (beat_ms / 100);
         if not (Atomic.get stop) then begin
-          let now = Mclock.now_ns () in
-          let cur = Atomic.get done_cells in
-          Series.push rate ~now cur;
           let queue_depth =
             match Pool.current () with
             | Some p -> (Pool.stats p).Pool.in_flight
             | None -> 0
           in
-          let beat =
-            {
-              Fleet.completed = cur;
-              ewma_milli = Series.rate_milli rate ~now cur;
-              queue_depth;
-              rss_kb = Hostinfo.rss_kb ();
-              stage_us = Atomic.get stages;
-            }
-          in
-          try send (Proto.Beat (Some beat))
+          try send (Proto.Beat { queue_depth; rss_kb = Hostinfo.rss_kb () })
           with Fail _ | Unix.Unix_error _ -> ()
         end
       done)
 
-let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~stages
-    ~lease_id ~gen ~lo ~hi =
+let run_lease ~send ~jobs ~spec ~known ~record ~telemetry ~lease_id ~gen ~lo
+    ~hi =
   let spec = Spec.clamp spec ~gen in
   let executed = ref 0 in
   let sink (c : Journal.cell) =
@@ -85,8 +71,7 @@ let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~stages
     if c.Journal.index >= lo && c.Journal.index < hi then begin
       record c;
       send (Proto.Cell { lease_id; cell = c });
-      incr executed;
-      Atomic.incr count
+      incr executed
     end
   in
   let (_ : Spec.summary) =
@@ -94,18 +79,14 @@ let run_lease ~send ~jobs ~spec ~known ~record ~count ~telemetry ~stages
       ~exec_filter:(fun i -> i >= lo && i < hi)
       spec
   in
-  (* the pool has joined its domains, so draining here races nothing;
-     buffers travel on Done and the cumulative stage tally feeds the
-     next beats *)
+  (* the pool has joined its domains, so draining here races nothing *)
   let spans = if telemetry then Span.drain () else [] in
-  (* the beat domain only reads the tally; this domain alone writes it *)
-  Atomic.set stages (Span.tally (Span.stage_us spans @ Atomic.get stages));
   let metrics = if telemetry then Metrics.counters () else [] in
-  send (Proto.Done { lease_id; executed = !executed; spans; metrics });
+  send (Proto.Done { lease_id; spans; metrics });
   !executed
 
 let run ~addr ?jobs ?(retries = default_retries) ?journal
-    ?(beat_ms = default_beat_ms) ?(on_progress = fun _ -> ()) () =
+    ?(on_progress = fun _ -> ()) () =
   (match Sys.signal Sys.sigpipe Sys.Signal_ignore with
   | _ -> ()
   | exception Invalid_argument _ -> ());
@@ -169,9 +150,6 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
                 Journal.write_cell w c
               end
         in
-        let done_cells = Atomic.make 0 in
-        (* cumulative per-category span time of every lease so far *)
-        let stages = Atomic.make [] in
         (* synced cells arrive as a growing prefix in index order; kept
            reversed for O(1) extension *)
         let known_rev = ref [] in
@@ -180,30 +158,26 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
           match recv fd dec buf with
           | Proto.Sync { cells } ->
               List.iter (fun c -> known_rev := c :: !known_rev) cells;
-              (* a deliberately bare beat: keeps the old-format decode
-                 path exercised on every fabric run *)
-              send (Proto.Beat None);
               serve ()
           | Proto.Lease { lease_id; gen; lo; hi } ->
               on_progress (Leased { gen; lo; hi });
               let executed =
                 run_lease ~send ~jobs ~spec
                   ~known:(mine @ List.rev !known_rev)
-                  ~record ~count:done_cells ~telemetry ~stages ~lease_id
-                  ~gen ~lo ~hi
+                  ~record ~telemetry ~lease_id ~gen ~lo ~hi
               in
               total := !total + executed;
               on_progress (Finished { lease_id; executed });
               serve ()
-          | Proto.Beat _ -> serve ()
           | Proto.Shutdown ->
               Option.iter Journal.commit jw;
               !total
-          | Proto.Hello _ | Proto.Welcome _ | Proto.Cell _ | Proto.Done _ ->
+          | Proto.Hello _ | Proto.Welcome _ | Proto.Cell _ | Proto.Done _
+          | Proto.Beat _ ->
               raise (Fail "unexpected message from coordinator")
         in
         let stop = Atomic.make false in
-        let bd = beater ~send ~stop ~done_cells ~stages ~beat_ms in
+        let bd = beater ~send ~stop in
         Fun.protect
           ~finally:(fun () ->
             Atomic.set stop true;

@@ -29,7 +29,6 @@ val run :
   ?jobs:int ->
   ?retries:int ->
   ?journal:string ->
-  ?beat_ms:int ->
   ?on_progress:(progress -> unit) ->
   unit ->
   (int, string) result
@@ -44,13 +43,10 @@ val run :
     restarted worker replays it, streaming previously-executed cells
     that land in a fresh lease instead of re-running them.
 
-    A heartbeat domain ships a stats-carrying [Beat] roughly every
-    [beat_ms] milliseconds (default 1000): cells completed, a
-    self-measured throughput ({!Series.rate_window}), local pool queue
-    depth, RSS, and —
-    when the coordinator's [Welcome] armed telemetry — the cumulative
-    per-stage time from drained spans. With telemetry armed each
-    lease's span buffer and the counter-registry snapshot also travel
-    back on [Done]. None of this touches the scratch journal or the
-    streamed cells, so the merged campaign output is identical with
-    telemetry on or off. *)
+    A heartbeat domain ships a [Beat] about once a second: liveness
+    plus the two facts only the worker has, its local pool's queue
+    depth and its RSS. When the coordinator's [Welcome] armed
+    telemetry, each lease's drained span buffer and the counter
+    registry snapshot travel back on [Done]. None of this touches the
+    scratch journal or the streamed cells, so the merged campaign
+    output is identical with telemetry on or off. *)

@@ -1,4 +1,4 @@
-let version = 1
+let version = 2
 
 type msg =
   | Hello of { proto : int; pid : int; host : string }
@@ -8,11 +8,10 @@ type msg =
   | Cell of { lease_id : int; cell : Journal.cell }
   | Done of {
       lease_id : int;
-      executed : int;
       spans : Span.t list;
       metrics : (string * int) list;
     }
-  | Beat of Fleet.beat option
+  | Beat of { queue_depth : int; rss_kb : int }
   | Shutdown
 
 let fields_of = function
@@ -24,11 +23,12 @@ let fields_of = function
         ("host", Jsonl.Str host);
       ]
   | Welcome { worker_id; spec; telemetry } ->
-      (* the flag is only on the wire when set: the encoding of a
-         telemetry-less welcome is unchanged from protocol birth *)
-      [ ("m", Jsonl.Str "welcome"); ("worker", Jsonl.Int worker_id) ]
-      @ (if telemetry then [ ("telemetry", Jsonl.Bool true) ] else [])
-      @ [ ("spec", Spec.to_json spec) ]
+      [
+        ("m", Jsonl.Str "welcome");
+        ("worker", Jsonl.Int worker_id);
+        ("telemetry", Jsonl.Bool telemetry);
+        ("spec", Spec.to_json spec);
+      ]
   | Sync { cells } ->
       [
         ("m", Jsonl.Str "sync");
@@ -48,38 +48,40 @@ let fields_of = function
         ("lease", Jsonl.Int lease_id);
         ("cell", Journal.cell_to_json cell);
       ]
-  | Done { lease_id; executed; spans; metrics } ->
-      (* empty payloads are omitted, keeping a plain done's bytes (and
-         an old coordinator's view of it) unchanged *)
+  | Done { lease_id; spans; metrics } ->
       [
         ("m", Jsonl.Str "done");
         ("lease", Jsonl.Int lease_id);
-        ("executed", Jsonl.Int executed);
+        ("spans", Jsonl.List (List.map Fleet.span_to_json spans));
+        ( "metrics",
+          Jsonl.Obj (List.map (fun (k, v) -> (k, Jsonl.Int v)) metrics) );
       ]
-      @ (match spans with
-        | [] -> []
-        | spans ->
-            [ ("spans", Jsonl.List (List.map Fleet.span_to_json spans)) ])
-      @ (match metrics with
-        | [] -> []
-        | ms ->
-            [
-              ( "metrics",
-                Jsonl.Obj (List.map (fun (k, v) -> (k, Jsonl.Int v)) ms) );
-            ])
-  | Beat None -> [ ("m", Jsonl.Str "beat") ]
-  | Beat (Some b) -> [ ("m", Jsonl.Str "beat"); ("stats", Fleet.beat_to_json b) ]
+  | Beat { queue_depth; rss_kb } ->
+      [
+        ("m", Jsonl.Str "beat");
+        ("queue", Jsonl.Int queue_depth);
+        ("rss_kb", Jsonl.Int rss_kb);
+      ]
   | Shutdown -> [ ("m", Jsonl.Str "shutdown") ]
 
 let encode m = Jsonl.encode_line (fields_of m)
+
+(* every element decoded, or nothing *)
+let all f l =
+  let xs = List.filter_map f l in
+  if List.length xs = List.length l then Some xs else None
 
 let decode line =
   match Jsonl.decode_line line with
   | Error e -> Error e
   | Ok fields -> (
       let j = Jsonl.Obj fields in
-      let int name = Option.bind (Jsonl.member name j) Jsonl.get_int in
-      let str name = Option.bind (Jsonl.member name j) Jsonl.get_str in
+      let mem name = Jsonl.member name j in
+      let int name = Option.bind (mem name) Jsonl.get_int in
+      let str name = Option.bind (mem name) Jsonl.get_str in
+      let list name f =
+        Option.bind (Option.bind (mem name) Jsonl.get_list) (all f)
+      in
       let malformed = Error "malformed message" in
       match str "m" with
       | Some "hello" -> (
@@ -87,75 +89,46 @@ let decode line =
           | Some proto, Some pid, Some host -> Ok (Hello { proto; pid; host })
           | _ -> malformed)
       | Some "welcome" -> (
-          match (int "worker", Jsonl.member "spec" j) with
-          | Some worker_id, Some spec_json -> (
+          match
+            ( int "worker",
+              Option.bind (mem "telemetry") Jsonl.get_bool,
+              mem "spec" )
+          with
+          | Some worker_id, Some telemetry, Some spec_json -> (
               match Spec.of_json spec_json with
-              | Ok spec ->
-                  (* absent on old coordinators: telemetry off *)
-                  let telemetry =
-                    match Jsonl.member "telemetry" j with
-                    | Some (Jsonl.Bool b) -> b
-                    | _ -> false
-                  in
-                  Ok (Welcome { worker_id; spec; telemetry })
+              | Ok spec -> Ok (Welcome { worker_id; spec; telemetry })
               | Error e -> Error e)
           | _ -> malformed)
       | Some "sync" -> (
-          match Jsonl.member "cells" j with
-          | Some (Jsonl.List l) ->
-              let cells = List.filter_map Journal.cell_of_json l in
-              if List.length cells = List.length l then Ok (Sync { cells })
-              else malformed
-          | _ -> malformed)
+          match list "cells" Journal.cell_of_json with
+          | Some cells -> Ok (Sync { cells })
+          | None -> malformed)
       | Some "lease" -> (
           match (int "lease", int "gen", int "lo", int "hi") with
           | Some lease_id, Some gen, Some lo, Some hi ->
               Ok (Lease { lease_id; gen; lo; hi })
           | _ -> malformed)
       | Some "cell" -> (
-          match
-            (int "lease", Option.bind (Jsonl.member "cell" j) Journal.cell_of_json)
-          with
+          match (int "lease", Option.bind (mem "cell") Journal.cell_of_json) with
           | Some lease_id, Some cell -> Ok (Cell { lease_id; cell })
           | _ -> malformed)
       | Some "done" -> (
-          match (int "lease", int "executed") with
-          | Some lease_id, Some executed -> (
-              let spans =
-                match Jsonl.member "spans" j with
-                | None -> Some []
-                | Some (Jsonl.List l) ->
-                    let ss = List.filter_map Fleet.span_of_json l in
-                    if List.length ss = List.length l then Some ss else None
-                | Some _ -> None
-              in
-              let metrics =
-                match Jsonl.member "metrics" j with
-                | None -> Some []
-                | Some (Jsonl.Obj fields) ->
-                    let ms =
-                      List.filter_map
-                        (fun (k, v) ->
-                          Option.map (fun n -> (k, n)) (Jsonl.get_int v))
-                        fields
-                    in
-                    if List.length ms = List.length fields then Some ms
-                    else None
-                | Some _ -> None
-              in
-              match (spans, metrics) with
-              | Some spans, Some metrics ->
-                  Ok (Done { lease_id; executed; spans; metrics })
-              | _ -> malformed)
+          let metrics =
+            match mem "metrics" with
+            | Some (Jsonl.Obj ms) ->
+                all
+                  (fun (k, v) -> Option.map (fun n -> (k, n)) (Jsonl.get_int v))
+                  ms
+            | _ -> None
+          in
+          match (int "lease", list "spans" Fleet.span_of_json, metrics) with
+          | Some lease_id, Some spans, Some metrics ->
+              Ok (Done { lease_id; spans; metrics })
           | _ -> malformed)
       | Some "beat" -> (
-          (* a bare beat is the original v1 encoding — liveness only *)
-          match Jsonl.member "stats" j with
-          | None -> Ok (Beat None)
-          | Some stats -> (
-              match Fleet.beat_of_json stats with
-              | Ok b -> Ok (Beat (Some b))
-              | Error e -> Error e))
+          match (int "queue", int "rss_kb") with
+          | Some queue_depth, Some rss_kb -> Ok (Beat { queue_depth; rss_kb })
+          | _ -> malformed)
       | Some "shutdown" -> Ok Shutdown
       | Some other -> Error (Printf.sprintf "unknown message kind %S" other)
       | None -> Error "missing message kind")

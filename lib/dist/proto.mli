@@ -20,8 +20,7 @@ type msg =
   | Hello of { proto : int; pid : int; host : string }
   | Welcome of { worker_id : int; spec : Spec.t; telemetry : bool }
       (** [telemetry] asks the worker to arm span collection and ship
-          buffers back on [Done]; encoded only when set and absent on
-          old coordinators, so either side may predate the flag *)
+          buffers back on [Done] *)
   | Sync of { cells : Journal.cell list }
       (** already-collected cells the next lease's generation depends
           on, in global index order *)
@@ -30,29 +29,31 @@ type msg =
   | Cell of { lease_id : int; cell : Journal.cell }
   | Done of {
       lease_id : int;
-      executed : int;
       spans : Span.t list;
-          (** the lease's drained span buffer when telemetry was armed *)
+          (** the lease's drained span buffer; empty unless telemetry
+              was armed *)
       metrics : (string * int) list;
-          (** the worker's cumulative counter registry snapshot *)
+          (** the worker's cumulative counter registry snapshot; empty
+              unless telemetry was armed *)
     }
-      (** lease closed; both payloads are omitted from the wire when
-          empty, so a plain [Done] round-trips byte-identically with
-          protocol-v1 peers *)
-  | Beat of Fleet.beat option
-      (** worker liveness; [Some] carries the versioned stats object
-        ({!Fleet.beat}), [None] is the bare original form that
-        old-protocol workers send — both decode *)
+      (** lease closed; the coordinator has counted its cells from the
+          streamed [Cell]s *)
+  | Beat of { queue_depth : int; rss_kb : int }
+      (** worker liveness, with the two facts only the worker has: its
+          local pool's tasks in flight and its resident set size (0
+          when unknown) *)
   | Shutdown
 
 val version : int
-(** Protocol version carried by [Hello]; a mismatch is refused. Still
-    1: the telemetry fields ride on optional members with bare
-    fallbacks rather than a version bump, so mixed fleets keep
-    working. *)
+(** Protocol version carried by [Hello]: 2. The coordinator refuses a
+    peer of any other version — a fabric run reproduces the
+    single-process journal only when every worker runs the
+    coordinator's own build. *)
 
 val encode : msg -> string
-(** One checksummed JSONL line (no newline, not yet framed). *)
+(** One checksummed JSONL line (no newline, not yet framed). Every
+    member of a message is always present. *)
 
 val decode : string -> (msg, string) result
-(** Parse, checksum-verify and type one payload. *)
+(** Parse, checksum-verify and type one payload; a missing or
+    ill-typed member is an [Error]. Never raises. *)

@@ -1,8 +1,7 @@
 (** A bounded ring of timestamped samples: the one windowed series
     behind every rate and rolling window in the tree — the fleet's
-    per-worker rates and lease-latency windows, a worker's heartbeat
-    rate, the progress line's rate and ETA, and the serve daemon's
-    metrics history.
+    per-worker rates and lease-latency windows, the progress line's
+    rate and ETA, and the serve daemon's metrics history.
 
     A push is kept only when at least [interval_ns] has passed since the
     newest kept sample (the first push is always kept); the ring holds

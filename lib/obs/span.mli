@@ -75,10 +75,11 @@ val reset : unit -> unit
 
 val tally : (string * int) list -> (string * int) list
 (** Sum the values of equal categories: one pair per category, sorted
-    by category. The stage tally of drained spans ({!stage_us}), of a
-    worker's cumulative beat and of the fleet's sum over its workers. *)
+    by category. The stage tally of drained spans ({!stage_us}), of the
+    span batches a fabric worker shipped, and of the fleet's sum over
+    its workers. *)
 
 val stage_us : t list -> (string * int) list
 (** The {!tally} of each span's duration in whole microseconds
     ({!Mclock.ns_to_us}) by category — the eventlog's [stage_timing]
-    record and a fabric worker's [stage_us] beat. *)
+    record and the fleet's per-worker [stage_us]. *)

@@ -74,42 +74,38 @@ let flow_events reg =
     ids
 
 (* ------------------------------------------------------------------ *)
-(* Single-process trace                                                *)
+(* Span -> event encoder                                               *)
 (* ------------------------------------------------------------------ *)
 
-let to_json spans =
-  let spans = sorted spans in
-  let epoch =
-    List.fold_left
-      (fun acc (s : Span.t) -> if Int64.compare s.t0_ns acc < 0 then s.t0_ns else acc)
-      (match spans with [] -> 0L | s :: _ -> s.t0_ns)
-      spans
-  in
-  let domains =
-    List.sort_uniq compare (List.map (fun (s : Span.t) -> s.domain) spans)
-  in
-  let meta =
-    List.map
-      (fun d ->
-        Jsonl.Obj
-          [
-            ("name", Jsonl.Str "process_name");
-            ("ph", Jsonl.Str "M");
-            ("pid", Jsonl.Int d);
-            ("tid", Jsonl.Int 1);
-            ("args", Jsonl.Obj [ ("name", Jsonl.Str (Printf.sprintf "domain %d" d)) ]);
-          ])
-      domains
-  in
+let meta kind ~pid ~tid name =
+  Jsonl.Obj
+    [
+      ("name", Jsonl.Str kind);
+      ("ph", Jsonl.Str "M");
+      ("pid", Jsonl.Int pid);
+      ("tid", Jsonl.Int tid);
+      ("args", Jsonl.Obj [ ("name", Jsonl.Str name) ]);
+    ]
+
+let domain_name d = Printf.sprintf "domain %d" d
+
+let domains spans =
+  List.sort_uniq compare (List.map (fun (s : Span.t) -> s.domain) spans)
+
+(* the earliest start of [sorted] spans: timestamps are microseconds
+   after it *)
+let epoch = function [] -> 0L | (s : Span.t) :: _ -> s.t0_ns
+
+(* one trace-event object: the metadata events, one complete ("X")
+   event per [(pid, tid, epoch, span)] slice in the order given, then
+   the flow events linking those slices *)
+let encode ~meta ~slices =
   let reg = flow_reg () in
   let events =
     List.map
-      (fun (s : Span.t) ->
-        let args =
-          if s.task >= 0 then [ ("task", Jsonl.Int s.task) ] else []
-        in
+      (fun (pid, tid, epoch, (s : Span.t)) ->
         let ts = Mclock.ns_to_us (Int64.sub s.t0_ns epoch) in
-        flow_note reg ~pid:s.domain ~tid:1 ~ts s;
+        flow_note reg ~pid ~tid ~ts s;
         Jsonl.Obj
           [
             ("name", Jsonl.Str s.name);
@@ -117,11 +113,13 @@ let to_json spans =
             ("ph", Jsonl.Str "X");
             ("ts", Jsonl.Int ts);
             ("dur", Jsonl.Int (max 1 (Mclock.ns_to_us s.dur_ns)));
-            ("pid", Jsonl.Int s.domain);
-            ("tid", Jsonl.Int 1);
-            ("args", Jsonl.Obj args);
+            ("pid", Jsonl.Int pid);
+            ("tid", Jsonl.Int tid);
+            ( "args",
+              Jsonl.Obj
+                (if s.task >= 0 then [ ("task", Jsonl.Int s.task) ] else []) );
           ])
-      spans
+      slices
   in
   Jsonl.Obj
     [
@@ -129,75 +127,40 @@ let to_json spans =
       ("displayTimeUnit", Jsonl.Str "ms");
     ]
 
+(* one process: a pid per recording domain, all on tid 1 *)
+let to_json spans =
+  let spans = sorted spans in
+  let epoch = epoch spans in
+  encode
+    ~meta:
+      (List.map
+         (fun d -> meta "process_name" ~pid:d ~tid:1 (domain_name d))
+         (domains spans))
+    ~slices:(List.map (fun (s : Span.t) -> (s.domain, 1, epoch, s)) spans)
+
 (* Fleet traces: one pid per process group (coordinator, each worker),
    one tid per recording domain inside it. Each group's timestamps are
    rebased to its own earliest span — worker clocks are unrelated
    monotonic epochs, so only within-group time is meaningful. *)
 let to_json_groups groups =
-  let metas = ref [] and events = ref [] in
-  let reg = flow_reg () in
-  List.iteri
-    (fun pid (label, spans) ->
-      let spans = sorted spans in
-      let epoch =
-        List.fold_left
-          (fun acc (s : Span.t) ->
-            if Int64.compare s.t0_ns acc < 0 then s.t0_ns else acc)
-          (match spans with [] -> 0L | s :: _ -> s.t0_ns)
-          spans
-      in
-      metas :=
-        Jsonl.Obj
-          [
-            ("name", Jsonl.Str "process_name");
-            ("ph", Jsonl.Str "M");
-            ("pid", Jsonl.Int pid);
-            ("tid", Jsonl.Int 0);
-            ("args", Jsonl.Obj [ ("name", Jsonl.Str label) ]);
-          ]
-        :: !metas;
-      List.iter
-        (fun d ->
-          metas :=
-            Jsonl.Obj
-              [
-                ("name", Jsonl.Str "thread_name");
-                ("ph", Jsonl.Str "M");
-                ("pid", Jsonl.Int pid);
-                ("tid", Jsonl.Int d);
-                ("args",
-                 Jsonl.Obj [ ("name", Jsonl.Str (Printf.sprintf "domain %d" d)) ]);
-              ]
-            :: !metas)
-        (List.sort_uniq compare (List.map (fun (s : Span.t) -> s.domain) spans));
-      List.iter
-        (fun (s : Span.t) ->
-          let args =
-            if s.task >= 0 then [ ("task", Jsonl.Int s.task) ] else []
-          in
-          let ts = Mclock.ns_to_us (Int64.sub s.t0_ns epoch) in
-          flow_note reg ~pid ~tid:s.domain ~ts s;
-          events :=
-            Jsonl.Obj
-              [
-                ("name", Jsonl.Str s.name);
-                ("cat", Jsonl.Str s.cat);
-                ("ph", Jsonl.Str "X");
-                ("ts", Jsonl.Int ts);
-                ("dur", Jsonl.Int (max 1 (Mclock.ns_to_us s.dur_ns)));
-                ("pid", Jsonl.Int pid);
-                ("tid", Jsonl.Int s.domain);
-                ("args", Jsonl.Obj args);
-              ]
-            :: !events)
-        spans)
-    groups;
-  Jsonl.Obj
-    [
-      ("traceEvents",
-       Jsonl.List (List.rev !metas @ List.rev !events @ flow_events reg));
-      ("displayTimeUnit", Jsonl.Str "ms");
-    ]
+  let groups =
+    List.mapi (fun pid (label, spans) -> (pid, label, sorted spans)) groups
+  in
+  encode
+    ~meta:
+      (List.concat_map
+         (fun (pid, label, spans) ->
+           meta "process_name" ~pid ~tid:0 label
+           :: List.map
+                (fun d -> meta "thread_name" ~pid ~tid:d (domain_name d))
+                (domains spans))
+         groups)
+    ~slices:
+      (List.concat_map
+         (fun (pid, _, spans) ->
+           let epoch = epoch spans in
+           List.map (fun (s : Span.t) -> (pid, s.domain, epoch, s)) spans)
+         groups)
 
 let output ~path json =
   let oc = open_out path in

@@ -475,29 +475,26 @@ let test_fleet_slow_rate_straggler () =
   List.iter
     (fun w -> Fleet.on_join f ~worker:w ~pid:(100 + w) ~host:"h" ~now:(at_ms 0))
     [ 0; 1; 2 ];
-  let beat rate =
-    {
-      Fleet.completed = 50;
-      ewma_milli = rate;
-      queue_depth = 0;
-      rss_kb = 0;
-      stage_us = [];
-    }
+  (* four seconds of streamed cells: two healthy workers at 10 and 9
+     cells/s, and one at 1 cell/s, a ninth of the median *)
+  let stream w ~every_ms =
+    let rec go ms =
+      if ms <= 4_000 then begin
+        Fleet.on_cell f ~worker:w ~now:(at_ms ms);
+        go (ms + every_ms)
+      end
+    in
+    go every_ms
   in
-  (* no streamed cells, so each worker's self-reported EWMA is the
-     effective rate: two healthy workers and one at a tenth of the
-     median *)
-  Fleet.on_beat f ~worker:0 ~now:(at_ms 900) (Some (beat 10_000));
-  Fleet.on_beat f ~worker:1 ~now:(at_ms 950) (Some (beat 9_000));
-  Fleet.on_beat f ~worker:2 ~now:(at_ms 980) (Some (beat 900));
-  let snap = Fleet.snapshot f ~now:(at_ms 1_000) ~collected:150 ~in_flight:3 in
+  stream 0 ~every_ms:100;
+  stream 1 ~every_ms:111;
+  stream 2 ~every_ms:1_000;
+  let snap = Fleet.snapshot f ~now:(at_ms 4_000) ~collected:80 ~in_flight:3 in
   Alcotest.(check (list int)) "the slow worker is flagged" [ 2 ]
     snap.Fleet.stragglers;
   let row w = List.nth snap.Fleet.rows w in
   Alcotest.(check bool) "healthy workers are not" true
-    ((not (row 0).Fleet.straggler) && not (row 1).Fleet.straggler);
-  Alcotest.(check int) "beat-reported completion surfaces" 50
-    (row 0).Fleet.beat_completed
+    ((not (row 0).Fleet.straggler) && not (row 1).Fleet.straggler)
 
 let test_fleet_stale_mid_lease () =
   let f = Fleet.create ~total:1_000 ~now:(at_ms 0) () in
@@ -505,10 +502,11 @@ let test_fleet_stale_mid_lease () =
   Fleet.on_join f ~worker:1 ~pid:8 ~host:"h" ~now:(at_ms 0);
   Fleet.on_lease f ~worker:0 ~lease_id:1 ~cells:100 ~now:(at_ms 500);
   Fleet.on_lease f ~worker:1 ~lease_id:2 ~cells:100 ~now:(at_ms 500);
-  (* worker 1 keeps beating (bare beats refresh liveness too); worker 0
-     goes silent holding its lease *)
+  (* worker 1 keeps beating (beats refresh liveness too); worker 0 goes
+     silent holding its lease *)
   for s = 1 to 14 do
-    Fleet.on_beat f ~worker:1 ~now:(at_ms (s * 1000)) None
+    Fleet.on_beat f ~worker:1 ~now:(at_ms (s * 1000)) ~queue_depth:1
+      ~rss_kb:2048
   done;
   let snap = Fleet.snapshot f ~now:(at_ms 14_000) ~collected:0 ~in_flight:2 in
   Alcotest.(check (list int)) "the silent leased worker is flagged" [ 0 ]
@@ -517,9 +515,12 @@ let test_fleet_stale_mid_lease () =
   Alcotest.(check int) "it still holds its lease" 1 r0.Fleet.leases;
   Alcotest.(check bool) "silence measured in ms" true
     (r0.Fleet.last_ms >= 10_000);
+  let r1 = List.nth snap.Fleet.rows 1 in
+  Alcotest.(check (pair int int)) "the beat's queue depth and RSS surface"
+    (1, 2048) (r1.Fleet.queue_depth, r1.Fleet.rss_kb);
   (* the worker comes back and both leases complete: flags clear and the
      grant-to-done latency lands in the rolling window *)
-  Fleet.on_beat f ~worker:0 ~now:(at_ms 14_500) None;
+  Fleet.on_beat f ~worker:0 ~now:(at_ms 14_500) ~queue_depth:0 ~rss_kb:1024;
   Fleet.on_done f ~worker:0 ~lease_id:1 ~now:(at_ms 14_500);
   Fleet.on_done f ~worker:1 ~lease_id:2 ~now:(at_ms 14_500);
   let snap = Fleet.snapshot f ~now:(at_ms 15_000) ~collected:200 ~in_flight:0 in
@@ -529,6 +530,37 @@ let test_fleet_stale_mid_lease () =
   Alcotest.(check bool) "lease latency percentiles recorded" true
     (r0.Fleet.lease_p50_ms >= 13_000
     && r0.Fleet.lease_p90_ms >= r0.Fleet.lease_p50_ms)
+
+(* the fleet's stage tally is the sum of every span batch the workers
+   shipped, however the batches split across workers and leases *)
+let test_fleet_stage_tally () =
+  let f = Fleet.create ~total:100 ~now:(at_ms 0) () in
+  let sp cat us =
+    {
+      Span.cat;
+      name = cat;
+      t0_ns = 0L;
+      dur_ns = Int64.of_int (us * 1000);
+      domain = 0;
+      task = -1;
+      flow = -1;
+      flow_n = 0;
+    }
+  in
+  let batches =
+    [
+      (0, [ sp "exec" 700; sp "gen" 30 ]);
+      (1, [ sp "exec" 500; sp "opt" 20 ]);
+      (0, [ sp "exec" 900; sp "opt" 10; sp "gen" 40 ]);
+      (1, []);
+    ]
+  in
+  List.iter (fun (worker, spans) -> Fleet.add_spans f ~worker spans) batches;
+  let snap = Fleet.snapshot f ~now:(at_ms 1_000) ~collected:0 ~in_flight:0 in
+  Alcotest.(check (list (pair string int)))
+    "stage_us sums all four batches"
+    (Span.stage_us (List.concat_map snd batches))
+    snap.Fleet.stage_us
 
 let test_fleet_status_line_roundtrip () =
   let f = Fleet.create ~total:500 ~now:(at_ms 0) () in
@@ -641,6 +673,8 @@ let () =
             test_fleet_slow_rate_straggler;
           Alcotest.test_case "stops beating mid-lease" `Quick
             test_fleet_stale_mid_lease;
+          Alcotest.test_case "stage tally of shipped spans" `Quick
+            test_fleet_stage_tally;
           Alcotest.test_case "status line roundtrip" `Quick
             test_fleet_status_line_roundtrip;
           Alcotest.test_case "status --json mirrors the line" `Quick

@@ -1,7 +1,9 @@
 (* The distributed fabric: wire framing robustness (torn, truncated,
-   corrupt and oversized frames), the checksummed protocol codec, the
-   lease tracker's awkward corners (duplicates, out-of-order replies,
-   expiry, worker death), the scratch-journal append mode — and the
+   corrupt and oversized frames), the checksummed protocol codec and a
+   decoder that survives random and damaged input, the refusal of a
+   peer of another protocol version, the lease tracker's awkward
+   corners (duplicates, out-of-order replies, expiry, worker death),
+   the scratch-journal append mode — and the
    subsystem's headline property: a coordinator plus loopback workers
    collect a cell set byte-identical to the single-process run, even
    when a worker dies mid-lease after streaming garbage-ordered
@@ -101,49 +103,40 @@ let small_spec campaign =
   | Ok s -> s
   | Error m -> Alcotest.failf "spec: %s" m
 
+let exec_span =
+  {
+    Span.cat = "exec";
+    name = "exec:1-";
+    t0_ns = 12345L;
+    dur_ns = 678L;
+    domain = 2;
+    task = 7;
+    flow = 17;
+    flow_n = 0;
+  }
+
+(* every message kind, Welcome and Done with and without telemetry *)
+let sample_msgs () =
+  [
+    Proto.Hello { proto = Proto.version; pid = 42; host = "h" };
+    Proto.Welcome
+      { worker_id = 3; spec = small_spec "table4"; telemetry = false };
+    Proto.Welcome { worker_id = 0; spec = small_spec "fuzz"; telemetry = true };
+    Proto.Sync { cells = [ mk_cell 0; mk_cell 1 ] };
+    Proto.Lease { lease_id = 9; gen = 2; lo = 16; hi = 24 };
+    Proto.Cell { lease_id = 9; cell = mk_cell 17 };
+    Proto.Done { lease_id = 9; spans = []; metrics = [] };
+    Proto.Done
+      {
+        lease_id = 10;
+        spans = [ exec_span; { exec_span with flow = -1; task = -1 } ];
+        metrics = [ ("cells.total", 3); ("interp.steps", 99) ];
+      };
+    Proto.Beat { queue_depth = 3; rss_kb = 51200 };
+    Proto.Shutdown;
+  ]
+
 let test_proto_roundtrip () =
-  let msgs =
-    [
-      Proto.Hello { proto = Proto.version; pid = 42; host = "h" };
-      Proto.Welcome
-        { worker_id = 3; spec = small_spec "table4"; telemetry = false };
-      Proto.Welcome { worker_id = 0; spec = small_spec "fuzz"; telemetry = true };
-      Proto.Sync { cells = [ mk_cell 0; mk_cell 1 ] };
-      Proto.Lease { lease_id = 9; gen = 2; lo = 16; hi = 24 };
-      Proto.Cell { lease_id = 9; cell = mk_cell 17 };
-      Proto.Done { lease_id = 9; executed = 8; spans = []; metrics = [] };
-      Proto.Done
-        {
-          lease_id = 10;
-          executed = 3;
-          spans =
-            [
-              {
-                Span.cat = "exec";
-                name = "exec:1-";
-                t0_ns = 12345L;
-                dur_ns = 678L;
-                domain = 2;
-                task = 7;
-                flow = 17;
-                flow_n = 0;
-              };
-            ];
-          metrics = [ ("cells.total", 3); ("interp.steps", 99) ];
-        };
-      Proto.Beat None;
-      Proto.Beat
-        (Some
-           {
-             Fleet.completed = 41;
-             ewma_milli = 2500;
-             queue_depth = 3;
-             rss_kb = 51200;
-             stage_us = [ ("exec", 120000); ("gen", 4000) ];
-           });
-      Proto.Shutdown;
-    ]
-  in
   List.iter
     (fun m ->
       let s = Proto.encode m in
@@ -152,70 +145,234 @@ let test_proto_roundtrip () =
       | Ok m' ->
           Alcotest.(check string)
             "re-encode is stable" s (Proto.encode m'))
-    msgs
+    (sample_msgs ())
 
 let test_proto_checksum () =
-  let s =
-    Proto.encode
-      (Proto.Done { lease_id = 1; executed = 2; spans = []; metrics = [] })
-  in
-  (* flip one payload byte: the per-line MD5 must catch it *)
-  let i = String.length s / 2 in
-  let flipped =
-    String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
-  in
-  match Proto.decode flipped with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "flipped byte accepted"
+  List.iter
+    (fun m ->
+      let s = Proto.encode m in
+      (* flip one payload byte: the per-line MD5 must catch it *)
+      let i = String.length s / 2 in
+      let flipped =
+        String.mapi
+          (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c)
+          s
+      in
+      match Proto.decode flipped with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "flipped byte accepted: %s" s)
+    (sample_msgs ())
 
-(* messages exactly as a protocol-birth peer emits them: a bare beat,
-   a payload-less done, a flag-less welcome — all must still decode *)
-let test_proto_old_format () =
-  (match Proto.decode (Jsonl.encode_line [ ("m", Jsonl.Str "beat") ]) with
-  | Ok (Proto.Beat None) -> ()
-  | Ok _ -> Alcotest.fail "bare beat decoded with stats"
-  | Error e -> Alcotest.failf "bare beat refused: %s" e);
-  (match
-     Proto.decode
-       (Jsonl.encode_line
-          [
-            ("m", Jsonl.Str "done");
-            ("lease", Jsonl.Int 4);
-            ("executed", Jsonl.Int 7);
-          ])
-   with
-  | Ok (Proto.Done { lease_id = 4; executed = 7; spans = []; metrics = [] }) ->
-      ()
-  | Ok _ -> Alcotest.fail "old done decoded wrong"
-  | Error e -> Alcotest.failf "old done refused: %s" e);
-  (match
-     Proto.decode
-       (Jsonl.encode_line
-          [
-            ("m", Jsonl.Str "welcome");
-            ("worker", Jsonl.Int 2);
-            ("spec", Spec.to_json (small_spec "table4"));
-          ])
-   with
-  | Ok (Proto.Welcome { worker_id = 2; telemetry = false; _ }) -> ()
-  | Ok _ -> Alcotest.fail "old welcome decoded wrong"
-  | Error e -> Alcotest.failf "old welcome refused: %s" e);
-  (* and the payload-less modern encodings are byte-identical to the
-     old ones: an old coordinator can read a new worker's plain done *)
-  Alcotest.(check string)
-    "plain done encodes as v1"
-    (Jsonl.encode_line
-       [
-         ("m", Jsonl.Str "done");
-         ("lease", Jsonl.Int 4);
-         ("executed", Jsonl.Int 7);
-       ])
-    (Proto.encode
-       (Proto.Done { lease_id = 4; executed = 7; spans = []; metrics = [] }));
-  Alcotest.(check string)
-    "bare beat encodes as v1"
-    (Jsonl.encode_line [ ("m", Jsonl.Str "beat") ])
-    (Proto.encode (Proto.Beat None))
+(* --- decoder fuzzing --- *)
+
+(* one generator per message kind, over arbitrary ints and bytes *)
+let gen_kinds =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (0 -- 8) in
+  let outcome =
+    oneof
+      [
+        map (fun v -> Outcome.Success v) str;
+        map (fun v -> Outcome.Build_failure v) str;
+        map (fun v -> Outcome.Crash v) str;
+        return Outcome.Timeout;
+        map (fun v -> Outcome.Machine_crash v) str;
+        map (fun v -> Outcome.Ub v) str;
+      ]
+  in
+  let cell =
+    let+ index = int
+    and+ seed = int
+    and+ mode = str
+    and+ config = int
+    and+ opt = oneofl [ "-"; "+"; "*" ]
+    and+ outcomes = list_size (0 -- 3) outcome
+    and+ note = str in
+    { Journal.index; seed; mode; config; opt; outcomes; note }
+  in
+  let spec =
+    let+ campaign = oneofl Spec.campaigns
+    and+ n = int
+    and+ seed0 = int
+    and+ fuel = opt int
+    and+ config_ids = opt (list_size (0 -- 4) int)
+    and+ variants = int
+    and+ feedback = bool
+    and+ gen_size = int
+    and+ minimize = bool in
+    {
+      Spec.campaign;
+      n;
+      seed0;
+      fuel;
+      config_ids;
+      variants;
+      feedback;
+      gen_size;
+      minimize;
+    }
+  in
+  let span =
+    let+ cat = str
+    and+ name = str
+    and+ t0 = int
+    and+ dur = int
+    and+ domain = int
+    and+ task = int
+    and+ flow = int
+    and+ flow_n = int in
+    {
+      Span.cat;
+      name;
+      t0_ns = Int64.of_int t0;
+      dur_ns = Int64.of_int dur;
+      domain;
+      task;
+      flow;
+      flow_n;
+    }
+  in
+  [
+    (let+ proto = int and+ pid = int and+ host = str in
+     Proto.Hello { proto; pid; host });
+    (let+ worker_id = int and+ spec = spec and+ telemetry = bool in
+     Proto.Welcome { worker_id; spec; telemetry });
+    map (fun cells -> Proto.Sync { cells }) (list_size (0 -- 3) cell);
+    (let+ lease_id = int and+ gen = int and+ lo = int and+ hi = int in
+     Proto.Lease { lease_id; gen; lo; hi });
+    (let+ lease_id = int and+ cell = cell in
+     Proto.Cell { lease_id; cell });
+    (let+ lease_id = int
+     and+ spans = list_size (0 -- 3) span
+     and+ metrics = list_size (0 -- 3) (pair str int) in
+     Proto.Done { lease_id; spans; metrics });
+    (let+ queue_depth = int and+ rss_kb = int in
+     Proto.Beat { queue_depth; rss_kb });
+    return Proto.Shutdown;
+  ]
+
+let arb_of gen =
+  QCheck.make
+    ~print:(fun ms -> String.concat "\n" (List.map Proto.encode ms))
+    gen
+
+(* one message of each of the eight kinds *)
+let arb_each = arb_of (QCheck.Gen.flatten_l gen_kinds)
+
+(* a short run of messages of any kinds *)
+let arb_run = arb_of QCheck.Gen.(list_size (1 -- 4) (oneof gen_kinds))
+
+(* [decode] answers [Ok] or [Error] and never raises *)
+let returns s =
+  match Proto.decode s with
+  | Ok _ | Error _ -> ()
+  | exception e ->
+      QCheck.Test.fail_reportf "decode %S raised %s" s (Printexc.to_string e)
+
+let prop_random_strings =
+  let json_char =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, char);
+          (2, oneofl [ '{'; '}'; '['; ']'; '"'; ':'; ','; '0'; '7'; '-'; 'm' ]);
+        ])
+  in
+  QCheck.Test.make ~count:3000 ~name:"decode returns on random strings"
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(string_size ~gen:json_char (0 -- 120)))
+    (fun s ->
+      returns s;
+      true)
+
+let flip s i =
+  String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+
+(* every byte flipped and every cut, of the line as sent (the checksum's
+   catch) and of its object resealed under a fresh checksum (the typed
+   decoder's catch); and every top-level member dropped, which must be
+   an error, or given a value of each JSON type *)
+let prop_damage =
+  QCheck.Test.make ~count:25
+    ~name:"decode returns on any damage" arb_each
+    (fun msgs ->
+      List.iter
+        (fun m ->
+          let line = Proto.encode m in
+          let fields =
+            match Jsonl.decode_line line with
+            | Ok fields -> fields
+            | Error e -> QCheck.Test.fail_reportf "%s: %s" line e
+          in
+          let body = Jsonl.to_string (Jsonl.Obj fields) in
+          let resealed s =
+            match Jsonl.of_string s with
+            | Ok (Jsonl.Obj fs) -> returns (Jsonl.encode_line fs)
+            | Ok _ | Error _ -> ()
+          in
+          for i = 0 to String.length line - 1 do
+            returns (flip line i);
+            returns (String.sub line 0 i)
+          done;
+          for i = 0 to String.length body - 1 do
+            resealed (flip body i);
+            resealed (String.sub body 0 i)
+          done;
+          List.iter
+            (fun (k, _) ->
+              let without = List.filter (fun (k', _) -> k' <> k) fields in
+              (match Proto.decode (Jsonl.encode_line without) with
+              | Error _ -> ()
+              | Ok _ -> QCheck.Test.fail_reportf "%s without %S decoded" line k
+              | exception e ->
+                  QCheck.Test.fail_reportf "%s without %S raised %s" line k
+                    (Printexc.to_string e));
+              List.iter
+                (fun v ->
+                  returns
+                    (Jsonl.encode_line
+                       (List.map
+                          (fun (k', v') -> (k', if k' = k then v else v'))
+                          fields)))
+                Jsonl.[ Null; Bool true; Int 0; Str ""; List []; Obj [] ])
+            fields)
+        msgs;
+      true)
+
+let prop_roundtrip =
+  QCheck.Test.make ~count:300 ~name:"every kind re-encodes byte-identically"
+    arb_each
+    (List.for_all (fun m ->
+         let s = Proto.encode m in
+         match Proto.decode s with
+         | Ok m' -> String.equal s (Proto.encode m')
+         | Error e -> QCheck.Test.fail_reportf "%s: %s" s e))
+
+let prop_stream_splits =
+  QCheck.Test.make ~count:30
+    ~name:"any split of a stream = one feed"
+    arb_run
+    (fun msgs ->
+      let payloads = List.map Proto.encode msgs in
+      let stream = String.concat "" (List.map Wire.frame payloads) in
+      let feed parts =
+        let dec = Wire.decoder () in
+        List.concat_map
+          (fun part ->
+            Wire.feed_string dec part;
+            match drain dec with
+            | Ok ps -> ps
+            | Error e -> QCheck.Test.fail_reportf "corrupt: %s" e)
+          parts
+      in
+      let whole = feed [ stream ] in
+      if whole <> payloads then QCheck.Test.fail_report "one feed";
+      let len = String.length stream in
+      for k = 0 to len do
+        if feed [ String.sub stream 0 k; String.sub stream k (len - k) ] <> whole
+        then QCheck.Test.fail_reportf "split at %d of %d" k len
+      done;
+      true)
 
 let test_addr_parse () =
   (match Netaddr.of_string "unix:/tmp/x.sock" with
@@ -458,10 +615,8 @@ let test_fabric_fuzz () =
   let cells = fabric ~workers:2 ~clients:[ worker; worker ] spec in
   check_cells "fuzz generations over 2 workers" truth cells
 
-(* a protocol-conformant client that takes a lease, streams half of it
-   in reverse order with a duplicate, then dies without Done — the
-   torn-worker case the lease tracker must absorb *)
-let half_shard_client truth addr =
+(* a hand-rolled peer's socket, retried until the coordinator listens *)
+let connect_raw addr =
   let sa =
     match Netaddr.sockaddr_of addr with
     | Ok s -> s
@@ -476,7 +631,13 @@ let half_shard_client truth addr =
         Unix.sleepf 0.05;
         conn (tries - 1)
   in
-  let fd = conn 100 in
+  conn 100
+
+(* a protocol-conformant client that takes a lease, streams half of it
+   in reverse order with a duplicate, then dies without Done — the
+   torn-worker case the lease tracker must absorb *)
+let half_shard_client truth addr =
+  let fd = connect_raw addr in
   let dec = Wire.decoder () in
   let buf = Bytes.create 4096 in
   let send msg =
@@ -612,6 +773,57 @@ let test_fabric_torn_worker () =
   in
   check_cells "mid-lease death recovered byte-identically" truth cells
 
+(* a peer of protocol 1 says Hello to a live coordinator: it is dropped
+   before any Welcome, takes no worker id, and the current worker that
+   connects after it still runs the whole grid *)
+let test_fabric_v1_refused () =
+  let spec = small_spec "table4" in
+  let truth = ground_truth spec in
+  let v1_saw = ref None and joined = ref [] in
+  let v1_then_worker addr =
+    let fd = connect_raw addr in
+    let hello =
+      Wire.frame (Proto.encode (Proto.Hello { proto = 1; pid = 0; host = "v1" }))
+    in
+    ignore (Unix.write_substring fd hello 0 (String.length hello));
+    let buf = Bytes.create 4096 and got = Buffer.create 64 in
+    let rec to_eof () =
+      match Unix.read fd buf 0 (Bytes.length buf) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes got buf 0 n;
+          to_eof ()
+    in
+    to_eof ();
+    Unix.close fd;
+    v1_saw := Some (Buffer.contents got);
+    worker addr
+  in
+  let cells =
+    with_sock @@ fun addr ->
+    let d = Domain.spawn (fun () -> v1_then_worker addr) in
+    let on_event = function
+      | Coordinator.Worker_joined w -> joined := w :: !joined
+      | _ -> ()
+    in
+    let res = Coordinator.serve ~addr ~spec ~workers:1 ~chunk:5 ~on_event () in
+    Domain.join d;
+    match res with
+    | Ok cells -> cells
+    | Error e -> Alcotest.failf "coordinator: %s" e
+  in
+  Alcotest.(check (option string))
+    "the v1 peer reads EOF, no Welcome frame" (Some "") !v1_saw;
+  Alcotest.(check (list int)) "only the current worker joined" [ 0 ] !joined;
+  check_cells "the grid, collected" truth cells;
+  let table ?resume () =
+    match Spec.run_local ~jobs:1 ?resume spec with
+    | Spec.Table t -> t
+    | Spec.Fuzz r -> Fuzz_loop.to_table r
+  in
+  Alcotest.(check string)
+    "merged table = local run's" (table ()) (table ~resume:cells ())
+
 (* --- one leased shard per campaign, run as a worker runs it --- *)
 
 let shard_spec campaign =
@@ -711,10 +923,12 @@ let () =
           Alcotest.test_case "message round-trips" `Quick test_proto_roundtrip;
           Alcotest.test_case "checksum mismatch rejected" `Quick
             test_proto_checksum;
-          Alcotest.test_case "old-format peer compatibility" `Quick
-            test_proto_old_format;
           Alcotest.test_case "address parsing" `Quick test_addr_parse;
         ] );
+      ( "proto-fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_random_strings; prop_damage; prop_roundtrip; prop_stream_splits ]
+      );
       ( "lease",
         [
           Alcotest.test_case "lifecycle, dup, out-of-order" `Quick
@@ -739,6 +953,8 @@ let () =
             test_fabric_fleet;
           Alcotest.test_case "watchdog probe hand-off" `Slow
             test_fabric_watchdog_probe;
+          Alcotest.test_case "v1 peer refused, grid completed" `Slow
+            test_fabric_v1_refused;
         ] );
       ( "shard",
         List.map

@@ -309,6 +309,78 @@ let test_trace_flow_events () =
             | _ -> Alcotest.fail "finish step lacks bp:\"e\" (enclosing bind)")
         flows
 
+(* the exact bytes of both layouts for one fixed span list: [write] puts
+   each domain on its own pid with tid 1 and rebases to the earliest
+   span; [write_groups] gives each group a pid, each domain a tid, and
+   rebases every group to its own earliest span. A lease originates
+   flows 9 and 10; the exec spans join them, the untagged one does not *)
+let test_trace_bytes_pinned () =
+  let sp ~cat ~name ~t0 ~dur ~domain ~task ~flow ~flow_n =
+    { Span.cat; name; t0_ns = t0; dur_ns = dur; domain; task; flow; flow_n }
+  in
+  let coord =
+    [
+      sp ~cat:"merge" ~name:"merge" ~t0:20_000_000L ~dur:400L ~domain:0
+        ~task:(-1) ~flow:(-1) ~flow_n:0;
+      sp ~cat:"lease" ~name:"lease 0 [9,11)" ~t0:1_000_000L ~dur:9_000_000L
+        ~domain:0 ~task:(-1) ~flow:9 ~flow_n:2;
+    ]
+  in
+  let worker =
+    [
+      sp ~cat:"exec" ~name:"exec:10" ~t0:7_004_000_000L ~dur:1_500_000L
+        ~domain:2 ~task:4 ~flow:10 ~flow_n:0;
+      sp ~cat:"exec" ~name:"exec:9" ~t0:7_002_000_000L ~dur:1_000_000L
+        ~domain:1 ~task:3 ~flow:9 ~flow_n:0;
+      sp ~cat:"gen" ~name:"generate" ~t0:7_000_000_000L ~dur:2_000L ~domain:1
+        ~task:(-1) ~flow:(-1) ~flow_n:0;
+    ]
+  in
+  let written f =
+    let path = Filename.temp_file "test_obs_pinned" ".json" in
+    f path;
+    let body = read_file path in
+    Sys.remove path;
+    body
+  in
+  Alcotest.(check string)
+    "write"
+    "{\"traceEvents\":[\
+     {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,\"args\":{\"name\":\"domain 0\"}},\
+     {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"domain 1\"}},\
+     {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":1,\"args\":{\"name\":\"domain 2\"}},\
+     {\"name\":\"lease 0 [9,11)\",\"cat\":\"lease\",\"ph\":\"X\",\"ts\":0,\"dur\":9000,\"pid\":0,\"tid\":1,\"args\":{}},\
+     {\"name\":\"merge\",\"cat\":\"merge\",\"ph\":\"X\",\"ts\":19000,\"dur\":1,\"pid\":0,\"tid\":1,\"args\":{}},\
+     {\"name\":\"generate\",\"cat\":\"gen\",\"ph\":\"X\",\"ts\":6999000,\"dur\":2,\"pid\":1,\"tid\":1,\"args\":{}},\
+     {\"name\":\"exec:9\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":7001000,\"dur\":1000,\"pid\":1,\"tid\":1,\"args\":{\"task\":3}},\
+     {\"name\":\"exec:10\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":7003000,\"dur\":1500,\"pid\":2,\"tid\":1,\"args\":{\"task\":4}},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":9,\"ts\":0,\"pid\":0,\"tid\":1},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":9,\"ts\":7001000,\"pid\":1,\"tid\":1,\"bp\":\"e\"},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":10,\"ts\":0,\"pid\":0,\"tid\":1},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":10,\"ts\":7003000,\"pid\":2,\"tid\":1,\"bp\":\"e\"}\
+     ],\"displayTimeUnit\":\"ms\"}\n"
+    (written (fun path -> Trace.write ~path (coord @ worker)));
+  Alcotest.(check string)
+    "write_groups"
+    "{\"traceEvents\":[\
+     {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"coordinator\"}},\
+     {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"domain 0\"}},\
+     {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"worker 1\"}},\
+     {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"domain 1\"}},\
+     {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"domain 2\"}},\
+     {\"name\":\"lease 0 [9,11)\",\"cat\":\"lease\",\"ph\":\"X\",\"ts\":0,\"dur\":9000,\"pid\":0,\"tid\":0,\"args\":{}},\
+     {\"name\":\"merge\",\"cat\":\"merge\",\"ph\":\"X\",\"ts\":19000,\"dur\":1,\"pid\":0,\"tid\":0,\"args\":{}},\
+     {\"name\":\"generate\",\"cat\":\"gen\",\"ph\":\"X\",\"ts\":0,\"dur\":2,\"pid\":1,\"tid\":1,\"args\":{}},\
+     {\"name\":\"exec:9\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":2000,\"dur\":1000,\"pid\":1,\"tid\":1,\"args\":{\"task\":3}},\
+     {\"name\":\"exec:10\",\"cat\":\"exec\",\"ph\":\"X\",\"ts\":4000,\"dur\":1500,\"pid\":1,\"tid\":2,\"args\":{\"task\":4}},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":9,\"ts\":0,\"pid\":0,\"tid\":0},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":9,\"ts\":2000,\"pid\":1,\"tid\":1,\"bp\":\"e\"},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"s\",\"id\":10,\"ts\":0,\"pid\":0,\"tid\":0},\
+     {\"name\":\"cell\",\"cat\":\"flow\",\"ph\":\"f\",\"id\":10,\"ts\":4000,\"pid\":1,\"tid\":2,\"bp\":\"e\"}\
+     ],\"displayTimeUnit\":\"ms\"}\n"
+    (written (fun path ->
+         Trace.write_groups ~path [ ("coordinator", coord); ("worker 1", worker) ]))
+
 (* --- cost profiler --- *)
 
 let cp ~khash ~config ~opt ~ticks constructs =
@@ -755,6 +827,8 @@ let () =
             test_trace_groups_pid_separation;
           Alcotest.test_case "causal flow events" `Quick
             test_trace_flow_events;
+          Alcotest.test_case "bytes of both layouts" `Quick
+            test_trace_bytes_pinned;
         ] );
       ( "costprof",
         [
