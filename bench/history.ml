@@ -1,185 +1,116 @@
 let default_path = "BENCH_history.jsonl"
+let schema = 3
 
-let record ?(path = default_path) line =
-  try
-    let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
-    output_string oc line;
-    output_char oc '\n';
-    close_out oc
-  with Sys_error m -> Printf.eprintf "bench history: %s (run not recorded)\n" m
+(* a rate may fall to this share of its previous value, in percent *)
+let keep_pct = 85
 
-(* The BENCH-JSON payloads are canonical printf-built JSON (no
-   whitespace) containing floats, which the store's codec deliberately
-   rejects — so field extraction here is a plain scan for the first
-   ["key":] occurrence. For the fuzz payload that "first occurrence"
-   rule is load-bearing: the [feedback] policy object precedes
-   [no_feedback], so unqualified numeric keys read the feedback run. *)
+let make ~bench ~ident ~rates ~floors fields =
+  let ints kvs = Jsonl.Obj (List.map (fun (k, v) -> (k, Jsonl.Int v)) kvs) in
+  Jsonl.Obj
+    (("bench", Jsonl.Str bench) :: ("schema", Jsonl.Int schema)
+    :: ("ident", ints ident) :: ("rates", ints rates)
+    :: ("floors", ints floors) :: fields)
 
-let find_key line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let n = String.length line and m = String.length pat in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub line i m = pat then Some (i + m)
-    else go (i + 1)
-  in
-  go 0
+let write ~target record =
+  let line = Jsonl.to_string record ^ "\n" in
+  print_string ("BENCH-JSON " ^ line);
+  (* best effort: a file that cannot be written never fails the run *)
+  List.iter
+    (fun (flag, path) ->
+      try
+        Out_channel.with_open_gen [ Open_wronly; Open_creat; flag ] 0o644 path
+          (fun oc -> output_string oc line)
+      with Sys_error m -> Printf.eprintf "bench record: %s (not written)\n" m)
+    [ (Open_trunc, "BENCH_" ^ target ^ ".json"); (Open_append, default_path) ]
 
-let num_at line i =
-  let n = String.length line in
-  let is_num c = (c >= '0' && c <= '9') || c = '.' || c = '-' || c = 'e' in
-  let j = ref i in
-  while !j < n && is_num line.[!j] do
-    incr j
-  done;
-  if !j = i then None else float_of_string_opt (String.sub line i (!j - i))
+let int_fields name j =
+  match Jsonl.member name j with
+  | Some (Jsonl.Obj kvs) ->
+      List.filter_map
+        (fun (k, v) -> Option.map (fun i -> (k, i)) (Jsonl.get_int v))
+        kvs
+  | _ -> []
 
-let num_field line key = Option.bind (find_key line key) (num_at line)
+let say name fmt = Printf.sprintf ("bench compare: %s: " ^^ fmt) name
 
-let str_field line key =
-  match find_key line key with
-  | Some i when i < String.length line && line.[i] = '"' -> (
-      match String.index_from_opt line (i + 1) '"' with
-      | Some j -> Some (String.sub line (i + 1) (j - i - 1))
-      | None -> None)
-  | _ -> None
-
-(* last element of the first ["key":[...]] array — the final cumulative
-   value of a per-generation series *)
-let series_last line key =
-  match find_key line key with
-  | Some i when i < String.length line && line.[i] = '[' -> (
-      match String.index_from_opt line i ']' with
-      | Some j -> (
-          let body = String.sub line (i + 1) (j - i - 1) in
-          match List.rev (String.split_on_char ',' body) with
-          | last :: _ -> float_of_string_opt last
-          | [] -> None)
-      | None -> None)
-  | _ -> None
-
-let load path =
-  if not (Sys.file_exists path) then []
+let compare_rows name prev latest =
+  if Jsonl.member "ident" prev <> Jsonl.member "ident" latest then
+    ( [
+        say name "latest run not comparable to previous (%s differ), skipped"
+          (String.concat "/" (List.map fst (int_fields "ident" latest)));
+      ],
+      false )
   else
-    let ic = open_in path in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (if String.trim line = "" then acc else line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
+    (* each key of [kind] in both rows, judged by [rule old new] *)
+    let paired kind rule =
+      List.filter_map
+        (fun (k, b) ->
+          match List.assoc_opt k (int_fields kind prev) with
+          | None -> None
+          | Some a ->
+              Option.map
+                (fun (note, flag) ->
+                  ( say name "%s %d -> %d (%s)%s" k a b note
+                      (if flag then " REGRESSION" else ""),
+                    flag ))
+                (rule a b))
+        (int_fields kind latest)
     in
-    go []
+    let checks =
+      paired "rates" (fun a b ->
+          if a <= 0 then None
+          else
+            Some
+              ( Printf.sprintf "%+.1f%%" (100. *. float (b - a) /. float a),
+                100 * b < keep_pct * a ))
+      @ paired "floors" (fun a b -> Some ("floor", b < a))
+    in
+    (List.map fst checks, List.exists snd checks)
 
-(* which fields must match for two runs of a bench to be comparable,
-   and which fields carry its throughput / coverage *)
-let checks_of = function
-  | "campaign_parallel_scaling" ->
-      Some ([ "cells"; "jobs" ], [ "cells_per_s_j1"; "cells_per_s_jN" ], None)
-  | "fuzz_feedback_vs_blind" ->
-      Some ([ "budget"; "seed"; "jobs" ], [], Some "coverage")
-  | "dist_loopback" -> Some ([ "cells"; "workers" ], [ "cells_per_s" ], None)
-  | "serve_stress" -> Some ([ "clients"; "requests" ], [ "req_per_s" ], None)
-  | _ -> None
-
-let threshold = 0.15 (* relative cells/s drop that counts as a regression *)
-
-let compare_one name prev latest =
-  match checks_of name with
-  | None ->
-      Printf.printf "bench compare: %s: no comparison rules, skipped\n" name;
-      false
-  | Some (idents, rate_keys, coverage_key) ->
-      let comparable =
-        List.for_all
-          (fun k ->
-            match (num_field prev k, num_field latest k) with
-            | Some a, Some b -> a = b
-            | _ -> false)
-          idents
+let check lines =
+  let rec parse n acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.trim line = "" -> parse (n + 1) acc rest
+    | line :: rest -> (
+        match Jsonl.of_string line with
+        | Error e -> Error (n, e)
+        | Ok j -> (
+            match Option.bind (Jsonl.member "bench" j) Jsonl.get_str with
+            | Some name -> parse (n + 1) ((name, j) :: acc) rest
+            | None -> Error (n, "no bench name")))
+  in
+  match parse 1 [] lines with
+  | Error (n, e) ->
+      (1, [ Printf.sprintf "bench compare: history line %d: %s" n e ])
+  | Ok rows ->
+      (* per bench, in order of first appearance, its last two rows *)
+      let names =
+        List.rev
+          (List.fold_left
+             (fun acc (n, _) -> if List.mem n acc then acc else n :: acc)
+             [] rows)
       in
-      if not comparable then begin
-        Printf.printf
-          "bench compare: %s: latest run not comparable to previous (%s \
-           differ), skipped\n"
-          name
-          (String.concat "/" idents);
-        false
-      end
-      else begin
-        let bad = ref false in
-        let rate key =
-          match (num_field prev key, num_field latest key) with
-          | Some a, Some b when a > 0. ->
-              let delta = (b -. a) /. a in
-              let flag = delta < -.threshold in
-              if flag then bad := true;
-              Printf.printf
-                "bench compare: %s: %s %.1f -> %.1f (%+.1f%%)%s\n" name key a b
-                (100. *. delta)
-                (if flag then " REGRESSION" else "")
-          | _ -> ()
-        in
-        List.iter rate rate_keys;
-        (* fuzz throughput: feedback-policy cells over its wall time *)
-        if rate_keys = [] then begin
-          let cps line =
-            match (num_field line "cells", num_field line "t_s") with
-            | Some c, Some t when t > 0. -> Some (c /. t)
-            | _ -> None
-          in
-          match (cps prev, cps latest) with
-          | Some a, Some b when a > 0. ->
-              let delta = (b -. a) /. a in
-              let flag = delta < -.threshold in
-              if flag then bad := true;
-              Printf.printf
-                "bench compare: %s: cells/s %.1f -> %.1f (%+.1f%%)%s\n" name a
-                b (100. *. delta)
-                (if flag then " REGRESSION" else "")
-          | _ -> ()
-        end;
-        (match coverage_key with
-        | None -> ()
-        | Some key -> (
-            match (series_last prev key, series_last latest key) with
-            | Some a, Some b ->
-                let flag = b < a in
-                if flag then bad := true;
-                Printf.printf
-                  "bench compare: %s: final %s %.0f -> %.0f%s\n" name key a b
-                  (if flag then " REGRESSION" else "")
-            | _ -> ()));
-        !bad
-      end
+      let verdicts =
+        List.map
+          (fun name ->
+            match List.rev (List.filter (fun (n, _) -> n = name) rows) with
+            | (_, latest) :: (_, prev) :: _ -> compare_rows name prev latest
+            | _ -> ([ say name "no baseline (single run)" ], false))
+          names
+      in
+      ( (if List.exists snd verdicts then 1 else 0),
+        List.concat_map fst verdicts )
 
 let compare_latest ?(path = default_path) () =
-  match load path with
-  | [] ->
-      Printf.printf "bench compare: no history at %s\n" path;
-      0
-  | lines ->
-      (* per bench name, the last two runs in file (= chronological) order *)
-      let tbl = Hashtbl.create 8 in
-      let names = ref [] in
-      List.iter
-        (fun line ->
-          match str_field line "bench" with
-          | None -> ()
-          | Some name ->
-              if not (Hashtbl.mem tbl name) then names := name :: !names;
-              Hashtbl.replace tbl name
-                (line
-                :: (Option.value ~default:[] (Hashtbl.find_opt tbl name))))
-        lines;
-      let regressed = ref false in
-      List.iter
-        (fun name ->
-          match Hashtbl.find tbl name with
-          | latest :: prev :: _ ->
-              if compare_one name prev latest then regressed := true
-          | _ ->
-              Printf.printf "bench compare: %s: no baseline (single run)\n"
-                name)
-        (List.rev !names);
-      if !regressed then 1 else 0
+  let lines =
+    if Sys.file_exists path then
+      String.split_on_char '\n' (In_channel.with_open_text path In_channel.input_all)
+    else []
+  in
+  let rc, out =
+    if List.for_all (fun l -> String.trim l = "") lines then
+      (0, [ Printf.sprintf "bench compare: no history at %s" path ])
+    else check lines
+  in
+  List.iter print_endline out;
+  rc

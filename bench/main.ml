@@ -23,16 +23,21 @@ let jobs = ref (Pool.recommended_jobs ())
 let scale = ref None (* -n override of per-experiment sample sizes *)
 let stamp = ref "" (* -stamp: caller-provided timestamp for the records *)
 
-(* every BENCH_*.json payload carries the same host block, so records
-   from different experiments and revisions stay comparable *)
-let host_block () =
-  Printf.sprintf
-    "\"host\":{\"cores\":%d,\"ocaml\":%S,\"os\":%S,\"word_size\":%d,\
-     \"commit\":%S,\"stamp\":%S}"
-    (Hostinfo.cores ()) Hostinfo.ocaml_version Hostinfo.os_type
-    Hostinfo.word_size
-    (Hostinfo.git_commit ())
-    !stamp
+(* every bench record ends with the same host block, so records from
+   different targets and revisions stay comparable *)
+let record ~target ~bench ~ident ~rates ~floors fields =
+  let host =
+    match Hostinfo.to_json () with
+    | Jsonl.Obj facts -> Jsonl.Obj (facts @ [ ("stamp", Jsonl.Str !stamp) ])
+    | other -> other
+  in
+  History.write ~target
+    (History.make ~bench ~ident ~rates ~floors (fields @ [ ("host", host) ]))
+
+(* records hold integers only: seconds as microseconds, rates and
+   ratios in milli-units *)
+let us s = Float.to_int (Float.round (s *. 1e6))
+let milli x = Float.to_int (Float.round (x *. 1000.))
 
 let size default = match !scale with Some n -> n | None -> default
 
@@ -246,16 +251,11 @@ let scaling () =
     Journal.commit w;
     Sys.remove path;
     Span.disable ();
-    let stages = Span.stage_us (Span.drain ()) in
-    let stage_s cat =
-      float_of_int (Option.value ~default:0 (List.assoc_opt cat stages)) /. 1e6
-    in
     let stages =
-      Printf.sprintf
-        "{\"generate_s\":%.3f,\"opt_s\":%.3f,\"execute_s\":%.3f,\
-         \"vote_s\":%.3f,\"persist_s\":%.3f}"
-        (stage_s "gen") (stage_s "opt") (stage_s "exec") (stage_s "vote")
-        (stage_s "persist")
+      Jsonl.Obj
+        (List.map
+           (fun (cat, us) -> (cat, Jsonl.Int us))
+           (Span.stage_us (Span.drain ())))
     in
     (table, dt, stages)
   in
@@ -271,32 +271,27 @@ let scaling () =
     (float cells /. t_seq)
     n_jobs t_par
     (float cells /. t_par);
-  Printf.printf "stages -j 1: %s\nstages -j %d: %s\n" stages_seq n_jobs stages_par;
+  Printf.printf "stages -j 1 (us): %s\nstages -j %d (us): %s\n"
+    (Jsonl.to_string stages_seq) n_jobs (Jsonl.to_string stages_par);
   Printf.printf "tables byte-identical across -j: %b\n" identical;
   if not identical then prerr_endline "ERROR: parallel output diverged from sequential";
-  let payload =
-    Printf.sprintf
-      "{\"bench\":\"campaign_parallel_scaling\",\"schema\":2,\
-       \"kernels_per_mode\":%d,\
-       \"cells\":%d,\"jobs\":%d,\"t_j1_s\":%.3f,\"t_jN_s\":%.3f,\
-       \"cells_per_s_j1\":%.1f,\"cells_per_s_jN\":%.1f,\"speedup\":%.2f,\
-       \"identical\":%b,\"stages_j1\":%s,\"stages_jN\":%s,%s}"
-      per_mode cells n_jobs t_seq t_par
-      (float cells /. t_seq)
-      (float cells /. t_par)
-      (t_seq /. t_par) identical stages_seq stages_par (host_block ())
-  in
-  Printf.printf "BENCH-JSON %s\n" payload;
-  (* persist the measurement next to the sources so successive revisions
-     leave a comparable trail (key order is fixed; no wall-clock stamps) *)
-  (try
-     let oc = open_out "BENCH_scaling.json" in
-     output_string oc (payload ^ "\n");
-     close_out oc;
-     Printf.printf "scaling record written to BENCH_scaling.json\n"
-   with Sys_error m ->
-     Printf.eprintf "could not write BENCH_scaling.json: %s\n" m);
-  History.record payload
+  record ~target:"scaling" ~bench:"campaign_parallel_scaling"
+    ~ident:[ ("cells", cells); ("jobs", n_jobs) ]
+    ~rates:
+      [
+        ("cells_per_s_j1_milli", milli (float cells /. t_seq));
+        ("cells_per_s_jN_milli", milli (float cells /. t_par));
+      ]
+    ~floors:[]
+    [
+      ("kernels_per_mode", Jsonl.Int per_mode);
+      ("t_j1_us", Jsonl.Int (us t_seq));
+      ("t_jN_us", Jsonl.Int (us t_par));
+      ("speedup_milli", Jsonl.Int (milli (t_seq /. t_par)));
+      ("identical", Jsonl.Bool identical);
+      ("stages_j1", stages_seq);
+      ("stages_jN", stages_par);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Distributed fabric: coordinator + loopback workers                  *)
@@ -366,28 +361,21 @@ let dist () =
   Printf.printf "merged table byte-identical to single-process: %b\n" identical;
   if not identical then
     prerr_endline "ERROR: distributed merge diverged from single-process run";
-  let payload =
-    Printf.sprintf
-      "{\"bench\":\"dist_loopback\",\"schema\":1,\"cells\":%d,\"workers\":%d,\
-       \"jobs\":1,\"t_s\":%.3f,\"cells_per_s\":%.1f,\"identical\":%b,\
-       \"worker_cells\":[%s],\"fleet_rate_milli\":%d,%s}"
-      total workers dt
-      (float total /. dt)
-      identical
-      (String.concat ","
-         (List.map
-            (fun (r : Fleet.row) -> string_of_int r.Fleet.cells)
-            snap.Fleet.rows))
-      snap.Fleet.fleet_milli (host_block ())
-  in
-  Printf.printf "BENCH-JSON %s\n" payload;
-  (try
-     let oc = open_out "BENCH_dist.json" in
-     output_string oc (payload ^ "\n");
-     close_out oc;
-     Printf.printf "dist record written to BENCH_dist.json\n"
-   with Sys_error m -> Printf.eprintf "could not write BENCH_dist.json: %s\n" m);
-  History.record payload
+  record ~target:"dist" ~bench:"dist_loopback"
+    ~ident:[ ("cells", total); ("workers", workers) ]
+    ~rates:[ ("cells_per_s_milli", milli (float total /. dt)) ]
+    ~floors:[]
+    [
+      ("jobs", Jsonl.Int 1);
+      ("t_us", Jsonl.Int (us dt));
+      ("identical", Jsonl.Bool identical);
+      ( "worker_cells",
+        Jsonl.List
+          (List.map
+             (fun (r : Fleet.row) -> Jsonl.Int r.Fleet.cells)
+             snap.Fleet.rows) );
+      ("fleet_rate_milli", Jsonl.Int snap.Fleet.fleet_milli);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Corpus service: client domains hammering one serve daemon           *)
@@ -521,23 +509,18 @@ let serve_bench () =
   Printf.printf "daemon: %d requests served, %d shed, %d timeouts\n"
     server_stats.Server.requests server_stats.Server.shed
     server_stats.Server.timeouts;
-  let payload =
-    Printf.sprintf
-      "{\"bench\":\"serve_stress\",\"schema\":1,\"clients\":%d,\"requests\":%d,\
-       \"t_s\":%.3f,\"req_per_s\":%.1f,\"p50_us\":%d,\"p99_us\":%d,\
-       \"overload_conns\":%d,\"overload_shed\":%d,\"server_requests\":%d,%s}"
-      clients total dt
-      (float total /. dt)
-      p50 p99 burst !shed_seen server_stats.Server.requests (host_block ())
-  in
-  Printf.printf "BENCH-JSON %s\n" payload;
-  (try
-     let oc = open_out "BENCH_serve.json" in
-     output_string oc (payload ^ "\n");
-     close_out oc;
-     Printf.printf "serve record written to BENCH_serve.json\n"
-   with Sys_error m -> Printf.eprintf "could not write BENCH_serve.json: %s\n" m);
-  History.record payload
+  record ~target:"serve" ~bench:"serve_stress"
+    ~ident:[ ("clients", clients); ("requests", total) ]
+    ~rates:[ ("req_per_s_milli", milli (float total /. dt)) ]
+    ~floors:[]
+    [
+      ("t_us", Jsonl.Int (us dt));
+      ("p50_us", Jsonl.Int p50);
+      ("p99_us", Jsonl.Int p99);
+      ("overload_conns", Jsonl.Int burst);
+      ("overload_shed", Jsonl.Int !shed_seen);
+      ("server_requests", Jsonl.Int server_stats.Server.requests);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Coverage-guided fuzzing: feedback on vs off at equal budget         *)
@@ -568,37 +551,27 @@ let fuzz () =
     cov_bl bugs_bl t_blind;
   (* per-generation trajectories: cumulative coverage and distinct bugs *)
   let series field r =
-    "["
-    ^ String.concat ","
-        (List.map (fun g -> string_of_int (field g)) r.Fuzz_loop.generations)
-    ^ "]"
+    Jsonl.List (List.map (fun g -> Jsonl.Int (field g)) r.Fuzz_loop.generations)
   in
   let policy name r dt =
-    Printf.sprintf
-      "{\"policy\":%S,\"kernels\":%d,\"cells\":%d,\"coverage\":%s,\
-       \"distinct_bugs\":%s,\"t_s\":%.3f}"
-      name r.Fuzz_loop.kernels_run r.Fuzz_loop.cells_run
-      (series (fun g -> g.Fuzz_loop.coverage) r)
-      (series (fun g -> g.Fuzz_loop.distinct_bugs) r)
-      dt
+    Jsonl.Obj
+      [
+        ("policy", Jsonl.Str name);
+        ("kernels", Jsonl.Int r.Fuzz_loop.kernels_run);
+        ("cells", Jsonl.Int r.Fuzz_loop.cells_run);
+        ("coverage", series (fun g -> g.Fuzz_loop.coverage) r);
+        ("distinct_bugs", series (fun g -> g.Fuzz_loop.distinct_bugs) r);
+        ("t_us", Jsonl.Int (us dt));
+      ]
   in
-  let payload =
-    Printf.sprintf
-      "{\"bench\":\"fuzz_feedback_vs_blind\",\"schema\":1,\"budget\":%d,\
-       \"seed\":%d,\"jobs\":%d,\"feedback\":%s,\"no_feedback\":%s,%s}"
-      budget seed n_jobs
-      (policy "feedback" fb t_fb)
-      (policy "no-feedback" blind t_blind)
-      (host_block ())
-  in
-  Printf.printf "BENCH-JSON %s\n" payload;
-  (try
-     let oc = open_out "BENCH_fuzz.json" in
-     output_string oc (payload ^ "\n");
-     close_out oc;
-     Printf.printf "fuzzing record written to BENCH_fuzz.json\n"
-   with Sys_error m -> Printf.eprintf "could not write BENCH_fuzz.json: %s\n" m);
-  History.record payload
+  record ~target:"fuzz" ~bench:"fuzz_feedback_vs_blind"
+    ~ident:[ ("budget", budget); ("seed", seed); ("jobs", n_jobs) ]
+    ~rates:[ ("cells_per_s_milli", milli (float fb.Fuzz_loop.cells_run /. t_fb)) ]
+    ~floors:[ ("coverage", cov_fb) ]
+    [
+      ("feedback", policy "feedback" fb t_fb);
+      ("no_feedback", policy "no-feedback" blind t_blind);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks                                            *)

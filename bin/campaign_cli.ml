@@ -413,17 +413,15 @@ let with_journal ~header ~journal ~resume k =
             Ok r
           with Sys_error m -> Error m))
 
-let archive ~dir ~header ~cells report =
-  match Triage.of_journal header cells with
-  | Error m -> Error m
-  | Ok buckets -> (
-      match Corpus.add_all ~dir (Triage.corpus_entries buckets) with
-      | Error m -> Error m
-      | Ok added ->
-          Ok
-            (report
-            ^ Printf.sprintf "corpus: %d new of %d exemplars in %s\n" added
-                (List.length buckets) dir))
+(* one exemplar kernel per bucket into the corpus at [dir], its count
+   appended to [report] *)
+let archive ~dir buckets report =
+  Result.map
+    (fun added ->
+      report
+      ^ Printf.sprintf "corpus: %d new of %d exemplars in %s\n" added
+          (List.length buckets) dir)
+    (Corpus.add_all ~dir (Triage.corpus_entries buckets))
 
 (* the text a campaign run prints *)
 let report_of = function
@@ -500,8 +498,9 @@ let table4_cmd =
       | None -> emit out report
       | Some dir -> (
           match
-            archive ~dir ~header:(Spec.header spec)
-              ~cells:(List.rev !collected) report
+            Result.bind
+              (Triage.of_journal (Spec.header spec) (List.rev !collected))
+              (fun buckets -> archive ~dir buckets report)
           with
           | Error m -> fail "corpus: %s" m
           | Ok report -> emit out report)
@@ -548,13 +547,9 @@ let triage_cmd =
             match corpus with
             | None -> emit out report
             | Some dir -> (
-                match Corpus.add_all ~dir (Triage.corpus_entries buckets) with
+                match archive ~dir buckets report with
                 | Error m -> fail "corpus: %s" m
-                | Ok added ->
-                    emit out
-                      (report
-                      ^ Printf.sprintf "corpus: %d new of %d exemplars in %s\n"
-                          added (List.length buckets) dir))))
+                | Ok report -> emit out report)))
   in
   Cmd.v
     (Cmd.info "triage"
@@ -1528,29 +1523,10 @@ let client_cmd =
       | Ok r -> Ok r.Sclient.body
     in
     match action with
-    | `Health -> (
-        match get "/healthz" with
-        | Ok body -> emit out (body ^ "\n")
-        | Error m -> fail "client: %s" m)
-    | `Bugs -> (
-        match get "/bugs" with
-        | Ok body -> emit out (body ^ "\n")
-        | Error m -> fail "client: %s" m)
-    | `Coverage -> (
-        match get "/coverage" with
-        | Ok body -> emit out (body ^ "\n")
-        | Error m -> fail "client: %s" m)
-    | `Corpus -> (
-        match get "/corpus" with
-        | Ok body -> emit out (body ^ "\n")
-        | Error m -> fail "client: %s" m)
-    | `Metrics -> (
-        match get "/metrics.json" with
-        | Ok body -> emit out (body ^ "\n")
-        | Error m -> fail "client: %s" m)
-    | `Report -> (
-        match get "/report" with
-        | Ok body -> emit out body
+    | `Get path -> (
+        match get path with
+        (* JSON answers end with a newline; the HTML report prints as served *)
+        | Ok body -> emit out (if path = "/report" then body else body ^ "\n")
         | Error m -> fail "client: %s" m)
     | `Gen -> (
         match Gen_config.mode_of_string mode with
@@ -1610,9 +1586,10 @@ let client_cmd =
   let action_conv =
     Arg.enum
       [
-        ("health", `Health); ("gen", `Gen); ("run", `Run); ("bugs", `Bugs);
-        ("coverage", `Coverage); ("corpus", `Corpus); ("metrics", `Metrics);
-        ("report", `Report);
+        ("health", `Get "/healthz"); ("gen", `Gen); ("run", `Run);
+        ("bugs", `Get "/bugs"); ("coverage", `Get "/coverage");
+        ("corpus", `Get "/corpus"); ("metrics", `Get "/metrics.json");
+        ("report", `Get "/report");
       ]
   in
   Cmd.v

@@ -96,14 +96,6 @@ let parent t id =
   | Some { prov = Mutant { parent; _ }; _ } -> Some parent
   | _ -> None
 
-let children t id =
-  List.filter
-    (fun c ->
-      match node t c with
-      | Some { prov = Mutant { parent; _ }; _ } -> parent = id
-      | _ -> false)
-    t.ids
-
 (* root-first ancestry: [(kernel id, operator that produced it)];
    the root's operator is None. Total because parents strictly
    decrease and were checked to exist. *)

@@ -42,7 +42,6 @@ val ids : t -> int list
 
 val node : t -> int -> node option
 val parent : t -> int -> int option
-val children : t -> int -> int list
 
 val path_to_root : t -> int -> (int * string option) list
 (** Root-first ancestry of a kernel: [(id, op)] pairs where [op] is the

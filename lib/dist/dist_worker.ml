@@ -34,11 +34,19 @@ let connect ~addr ~retries =
   | Ok fd -> fd
   | Error e -> raise (Fail e)
 
-(* the heartbeat domain: ships liveness with the local pool's queue
-   depth and the RSS between naps. Sends share the connection mutex
-   with the serving domain; a send failure here is swallowed — the
-   serving domain will hit the same broken socket and report it
-   properly *)
+(* liveness with the local pool's queue depth and the RSS *)
+let beat () =
+  let queue_depth =
+    match Pool.current () with
+    | Some p -> (Pool.stats p).Pool.in_flight
+    | None -> 0
+  in
+  Proto.Beat { queue_depth; rss_kb = Hostinfo.rss_kb () }
+
+(* the heartbeat domain: one {!beat} between naps. Sends share the
+   connection mutex with the serving domain; a send failure here is
+   swallowed — the serving domain will hit the same broken socket and
+   report it properly *)
 let beater ~send ~stop =
   Domain.spawn (fun () ->
       let rec nap n =
@@ -49,15 +57,8 @@ let beater ~send ~stop =
       in
       while not (Atomic.get stop) do
         nap (beat_ms / 100);
-        if not (Atomic.get stop) then begin
-          let queue_depth =
-            match Pool.current () with
-            | Some p -> (Pool.stats p).Pool.in_flight
-            | None -> 0
-          in
-          try send (Proto.Beat { queue_depth; rss_kb = Hostinfo.rss_kb () })
-          with Fail _ | Unix.Unix_error _ -> ()
-        end
+        if not (Atomic.get stop) then
+          try send (beat ()) with Fail _ | Unix.Unix_error _ -> ()
       done)
 
 let run_lease ~send ~jobs ~spec ~known ~record ~telemetry ~lease_id ~gen ~lo
@@ -122,6 +123,9 @@ let run ~addr ?jobs ?(retries = default_retries) ?journal
               (spec, telemetry)
           | _ -> raise (Fail "expected welcome")
         in
+        (* the first beat leaves now, not a beater's nap later, so a
+           session shorter than one nap still reports its facts *)
+        send (beat ());
         if telemetry then begin
           Span.reset ();
           Span.enable ()

@@ -57,7 +57,6 @@ let feed d b n =
 let feed_string d s =
   count_in d (String.length s);
   Buffer.add_string d.buf s
-let buffered d = Buffer.length d.buf - d.off
 
 let fail d msg =
   d.corrupt <- Some msg;

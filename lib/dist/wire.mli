@@ -52,8 +52,5 @@ val next : decoder -> [ `Frame of string | `Awaiting | `Corrupt of string ]
     bytes form a frame prefix; [`Corrupt] is terminal (every later
     call returns it too). *)
 
-val buffered : decoder -> int
-(** Bytes currently held (diagnostics). *)
-
 val ingress : decoder -> counters
 (** Frames and bytes this decoder has accepted so far. *)

@@ -7,7 +7,6 @@ type t = Bytes.t
 
 let create () = Bytes.make (size / 8) '\000'
 let copy = Bytes.copy
-let equal = Bytes.equal
 
 let bucket v =
   if v <= 1 then 0

@@ -34,7 +34,6 @@ val size : int
 
 val create : unit -> t
 val copy : t -> t
-val equal : t -> t -> bool
 
 val bucket : int -> int
 (** Log2 bucketing of a work tally: [0] for values [<= 1], otherwise

@@ -18,9 +18,6 @@ let op_name = function
   | Emi_graft -> "emi-graft"
   | Emi_prune -> "emi-prune"
 
-let all_ops =
-  [ Opt_tweak; Lit_tweak; Swizzle_shuffle; Geom_tweak; Splice; Emi_graft; Emi_prune ]
-
 (* the race-detect reference run must finish within this budget — well
    under the cells' 250k default, both to bound the (sequential) cost of
    the gate and to reject mutants that would only time out downstream *)

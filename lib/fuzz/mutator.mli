@@ -47,8 +47,6 @@ val op_name : op -> string
 (** Stable kebab-case name, used in journal provenance notes and the
     corpus index. *)
 
-val all_ops : op list
-
 val well_formed : Ast.testcase -> bool
 (** The gate described above. Exposed for tests. *)
 

@@ -186,14 +186,3 @@ let to_table (results : mode_result list) =
       Buffer.add_char buf '\n')
     results;
   Buffer.contents buf
-
-let totals results =
-  List.map
-    (fun r ->
-      ( r.mode,
-        List.fold_left
-          (fun acc (_, c) ->
-            { w = acc.w + c.w; bf = acc.bf + c.bf; c = acc.c + c.c;
-              timeout = acc.timeout + c.timeout; ok = acc.ok + c.ok })
-          zero_cell r.per_config ))
-    results

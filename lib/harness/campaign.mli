@@ -77,4 +77,3 @@ val run :
     and only forward cells its [sink] accepted. *)
 
 val to_table : mode_result list -> string
-val totals : mode_result list -> (Gen_config.mode * cell) list

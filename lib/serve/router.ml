@@ -22,12 +22,9 @@ let handle_post store (r : Http.req) =
   | "/kernel" -> (
       match Jsonl.of_string r.body with
       | Error e -> err 400 ("bad json: " ^ e)
-      | Ok (Jsonl.Obj fields as j) -> (
-          match
-            ( Corpus.entry_of_fields fields,
-              Option.bind (Jsonl.member "text" j) Jsonl.get_str )
-          with
-          | Some e, Some text -> (
+      | Ok (Jsonl.Obj _ as j) -> (
+          match Svstore.kernel_of_json j with
+          | Some (e, text) -> (
               match Svstore.submit_kernel store e text with
               | Error m -> err 400 m
               | Ok added ->
@@ -37,32 +34,20 @@ let handle_post store (r : Http.req) =
                          ("added", Jsonl.Bool added);
                          ("hash", Jsonl.Str e.Corpus.hash);
                        ]))
-          | _ -> err 400 "kernel submission needs entry fields and text")
+          | None -> err 400 "kernel submission needs entry fields and text")
       | Ok _ -> err 400 "kernel submission must be an object")
   | "/claim" -> (
       match Svstore.claim store with
       | None -> Http.response ~status:204 ~body:"" ()
       | Some (e, text) ->
-          ok_json (Jsonl.Obj (Corpus.entry_fields e @ [ ("text", Jsonl.Str text) ])))
+          ok_json (Jsonl.Obj (Svstore.kernel_fields e text)))
   | "/observation" -> (
       match Jsonl.of_string r.body with
       | Error e -> err 400 ("bad json: " ^ e)
       | Ok j -> (
-          let cell = Option.bind (Jsonl.member "cell" j) Journal.cell_of_json in
-          let obs =
-            match Jsonl.member "obs" j with
-            | None -> Some None
-            | Some o -> Option.map Option.some (Triage.observation_of_json o)
-          in
-          let cov =
-            match Option.bind (Jsonl.member "cov" j) Jsonl.get_list with
-            | None -> Some []
-            | Some l ->
-                let is = List.filter_map Jsonl.get_int l in
-                if List.length is = List.length l then Some is else None
-          in
-          match (cell, obs, cov) with
-          | Some cell, Some obs, Some cov -> (
+          match Svstore.report_of_json j with
+          | Some (cell, obs, cov) -> (
+              let cov = Option.value ~default:[] cov in
               match Svstore.report_observation store ~cell ~obs ~cov with
               | Error m -> err 400 m
               | Ok (fresh, new_bits) ->
@@ -72,7 +57,7 @@ let handle_post store (r : Http.req) =
                          ("fresh", Jsonl.Bool fresh);
                          ("new_bits", Jsonl.Int new_bits);
                        ]))
-          | _ -> err 400 "observation needs a cell (obs and cov optional)"))
+          | None -> err 400 "observation needs a cell (obs and cov optional)"))
   | _ -> err 404 "no such endpoint"
 
 (* Bounded label set for per-route metrics: every corpus item collapses

@@ -96,9 +96,7 @@ let expect_json (r : resp) =
 let submit_kernel ~addr ?retries (e : Corpus.entry) text =
   match
     request ~addr ?retries ~meth:"POST" ~path:"/kernel"
-      ~body:
-        (Jsonl.to_string
-           (Jsonl.Obj (Corpus.entry_fields e @ [ ("text", Jsonl.Str text) ])))
+      ~body:(Jsonl.to_string (Jsonl.Obj (Svstore.kernel_fields e text)))
       ()
   with
   | Error e -> Error e
@@ -121,25 +119,13 @@ let claim ~addr ?retries () =
   | Ok r -> (
       match expect_json r with
       | Error e -> Error e
-      | Ok (Jsonl.Obj fields as j) -> (
-          match
-            ( Corpus.entry_of_fields fields,
-              Option.bind (Jsonl.member "text" j) Jsonl.get_str )
-          with
-          | Some e, Some text -> Ok (Some (e, text))
-          | _ -> Error "claim: malformed reply")
-      | Ok _ -> Error "claim: malformed reply")
+      | Ok j -> (
+          match Svstore.kernel_of_json j with
+          | Some claimed -> Ok (Some claimed)
+          | None -> Error "claim: malformed reply"))
 
 let report_observation ~addr ?retries ~cell ~obs ~cov () =
-  let body =
-    Jsonl.to_string
-      (Jsonl.Obj
-         ([ ("cell", Journal.cell_to_json cell) ]
-         @ (match obs with
-           | None -> []
-           | Some o -> [ ("obs", Jsonl.Obj (Triage.observation_fields o)) ])
-         @ [ ("cov", Jsonl.List (List.map (fun i -> Jsonl.Int i) cov)) ]))
-  in
+  let body = Jsonl.to_string (Jsonl.Obj (Svstore.report_fields ~cell ~obs ~cov)) in
   match request ~addr ?retries ~meth:"POST" ~path:"/observation" ~body () with
   | Error e -> Error e
   | Ok r when r.status <> 200 ->

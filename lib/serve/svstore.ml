@@ -21,12 +21,43 @@ let header_fields = [ ("k", Jsonl.Str "serve"); ("v", Jsonl.Int journal_version)
 
 let kernel_fields e text = Corpus.entry_fields e @ [ ("text", Jsonl.Str text) ]
 
-let obs_fields ~cell ~obs ~cov =
-  [ ("k", Jsonl.Str "obs"); ("cell", Journal.cell_to_json cell) ]
-  @ (match obs with
-    | None -> []
-    | Some o -> [ ("obs", Jsonl.Obj (Triage.observation_fields o)) ])
+let kernel_of_json = function
+  | Jsonl.Obj fields as j -> (
+      match
+        ( Corpus.entry_of_fields fields,
+          Option.bind (Jsonl.member "text" j) Jsonl.get_str )
+      with
+      | Some e, Some text -> Some (e, text)
+      | _ -> None)
+  | _ -> None
+
+let report_fields ~cell ~obs ~cov =
+  (("cell", Journal.cell_to_json cell)
+  :: (match obs with
+     | None -> []
+     | Some o -> [ ("obs", Jsonl.Obj (Triage.observation_fields o)) ]))
   @ [ ("cov", Jsonl.List (List.map (fun i -> Jsonl.Int i) cov)) ]
+
+let report_of_json j =
+  let cell = Option.bind (Jsonl.member "cell" j) Journal.cell_of_json in
+  let obs =
+    match Jsonl.member "obs" j with
+    | None -> Some None
+    | Some o -> Option.map Option.some (Triage.observation_of_json o)
+  in
+  let cov =
+    match Option.bind (Jsonl.member "cov" j) Jsonl.get_list with
+    | None -> Some None
+    | Some l ->
+        let is = List.filter_map Jsonl.get_int l in
+        if List.length is = List.length l then Some (Some is) else None
+  in
+  match (cell, obs, cov) with
+  | Some cell, Some obs, Some cov -> Some (cell, obs, cov)
+  | _ -> None
+
+let obs_fields ~cell ~obs ~cov =
+  ("k", Jsonl.Str "obs") :: report_fields ~cell ~obs ~cov
 
 let claim_fields n = [ ("k", Jsonl.Str "claim"); ("n", Jsonl.Int n) ]
 
@@ -50,33 +81,19 @@ let apply_obs t cell obs cov =
 
 let apply fields t =
   let j = Jsonl.Obj fields in
-  let str name = Option.bind (Jsonl.member name j) Jsonl.get_str in
-  match str "k" with
+  match Option.bind (Jsonl.member "k" j) Jsonl.get_str with
   | Some "kernel" -> (
-      match (Corpus.entry_of_fields fields, str "text") with
-      | Some e, Some text ->
+      match kernel_of_json j with
+      | Some (e, text) ->
           if Hashtbl.mem t.kernels e.Corpus.hash then Error "duplicate kernel"
           else begin
             push_kernel t e text;
             Ok ()
           end
-      | _ -> Error "malformed kernel record")
+      | None -> Error "malformed kernel record")
   | Some "obs" -> (
-      let cell = Option.bind (Jsonl.member "cell" j) Journal.cell_of_json in
-      let obs =
-        match Jsonl.member "obs" j with
-        | None -> Some None
-        | Some o -> Option.map Option.some (Triage.observation_of_json o)
-      in
-      let cov =
-        match Option.bind (Jsonl.member "cov" j) Jsonl.get_list with
-        | None -> None
-        | Some l ->
-            let is = List.filter_map Jsonl.get_int l in
-            if List.length is = List.length l then Some is else None
-      in
-      match (cell, obs, cov) with
-      | Some cell, Some obs, Some cov ->
+      match report_of_json j with
+      | Some (cell, obs, Some cov) ->
           if Hashtbl.mem t.cell_keys (Journal.key cell) then
             Error "duplicate observation"
           else begin

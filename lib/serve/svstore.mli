@@ -21,6 +21,35 @@
 
 type t
 
+(** {2 Record codecs}
+
+    The kernel and the reported-cell records are the journal's and the
+    HTTP API's alike: the client sends them, the router decodes them
+    once and the store journals them, all through these four. *)
+
+val kernel_fields : Corpus.entry -> string -> (string * Jsonl.t) list
+(** {!Corpus.entry_fields} plus the kernel [text]: a [kernel] journal
+    record, a [/kernel] body and a [/claim] reply. *)
+
+val kernel_of_json : Jsonl.t -> (Corpus.entry * string) option
+(** Inverse of {!kernel_fields} applied to an object value. *)
+
+val report_fields :
+  cell:Journal.cell ->
+  obs:Triage.observation option ->
+  cov:int list ->
+  (string * Jsonl.t) list
+(** One reported cell: [cell], [obs] when classified, and [cov] — an
+    [/observation] body, and an [obs] journal record after its kind. *)
+
+val report_of_json :
+  Jsonl.t ->
+  (Journal.cell * Triage.observation option * int list option) option
+(** Inverse of {!report_fields}; [None] when the cell, the observation
+    or a [cov] list is malformed. The [cov] is [None] when absent,
+    which an HTTP body may be (read as no coverage) and a journal
+    record may not. *)
+
 val open_ : path:string -> (t, string) result
 (** Create (fresh header) or replay an existing journal, cutting a torn
     tail off first ({!Recordlog.append}). A missing, empty or

@@ -687,8 +687,23 @@ let test_fabric_fleet () =
   let truth = ground_truth spec in
   with_sock @@ fun addr ->
   let fleet = Fleet.create ~total:(List.length truth) ~now:(Mclock.now_ns ()) () in
+  (* a worker reports its facts from the start: by its first streamed
+     cell, its row already holds the RSS of the beat sent on Welcome *)
+  let first_rss = ref None in
+  let on_cell _ =
+    if !first_rss = None then
+      first_rss :=
+        Some
+          (List.map
+             (fun (r : Fleet.row) -> r.Fleet.rss_kb)
+             (Fleet.snapshot fleet ~now:(Mclock.now_ns ()) ~collected:0
+                ~in_flight:0)
+               .Fleet.rows)
+  in
   let doms = [ Domain.spawn (fun () -> worker addr) ] in
-  let res = Coordinator.serve ~addr ~spec ~workers:1 ~chunk:5 ~fleet () in
+  let res =
+    Coordinator.serve ~addr ~spec ~workers:1 ~chunk:5 ~fleet ~on_cell ()
+  in
   List.iter Domain.join doms;
   let cells =
     match res with
@@ -696,6 +711,12 @@ let test_fabric_fleet () =
     | Error e -> Alcotest.failf "coordinator: %s" e
   in
   check_cells "fleet-observed run still byte-identical" truth cells;
+  (match !first_rss with
+  | Some [ rss ] ->
+      Alcotest.(check bool) "rss_kb > 0 at the first streamed cell" true
+        (rss > 0)
+  | Some rows -> Alcotest.failf "%d worker rows" (List.length rows)
+  | None -> Alcotest.fail "no cell streamed");
   let snap =
     Fleet.snapshot fleet ~now:(Mclock.now_ns ())
       ~collected:(List.length cells) ~in_flight:0

@@ -479,6 +479,71 @@ let test_server_concurrent_clients () =
   stop_daemon daemon;
   Sys.remove path
 
+(* The exact bytes of the state journal and of a /claim reply, for one
+   kernel and three reported cells (with obs, without obs, with an empty
+   cov), as the client, the router and the store write them together. *)
+let test_server_record_bytes () =
+  let addr = temp_addr () in
+  let path = Filename.temp_file "test_serve" ".journal" in
+  Sys.remove path;
+  let daemon = start_daemon ~path addr in
+  let e, text = entry_of 1 in
+  (match Sclient.submit_kernel ~addr e text with
+  | Ok true -> ()
+  | Ok false -> Alcotest.fail "kernel unexpectedly duplicate"
+  | Error m -> Alcotest.fail m);
+  let obs config opt = Some (obs_of ~seed:1 ~config ~opt ~hash:e.Corpus.hash) in
+  List.iter
+    (fun (config, opt, obs, cov) ->
+      match
+        Sclient.report_observation ~addr ~cell:(cell_of ~seed:1 ~config ~opt)
+          ~obs ~cov ()
+      with
+      | Ok (true, _) -> ()
+      | Ok (false, _) -> Alcotest.fail "observation unexpectedly duplicate"
+      | Error m -> Alcotest.fail m)
+    [
+      (2, "-", obs 2 "-", [ 10; 20 ]);
+      (2, "+", None, [ 30 ]);
+      (5, "-", obs 5 "-", []);
+    ];
+  let claim =
+    match Sclient.request ~addr ~meth:"POST" ~path:"/claim" () with
+    | Ok r -> r.Sclient.body
+    | Error m -> Alcotest.fail m
+  in
+  stop_daemon daemon;
+  let ic = open_in_bin path in
+  let journal = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (match Svstore.open_ ~path with
+  | Error m -> Alcotest.fail m
+  | Ok store ->
+      Alcotest.(check (list int)) "kernels, cells, cursor replayed" [ 1; 3; 1 ]
+        [
+          Svstore.kernel_count store;
+          Svstore.cell_count store;
+          Svstore.cursor store;
+        ];
+      Svstore.close store);
+  Sys.remove path;
+  Alcotest.(check string) "/claim reply"
+    {|{"k":"kernel","hash":"07228b870e31309e758fc869e7126b88","seed":1,"mode":"basic","cls":"candidate","config":0,"opt":"-","text":"__kernel void entry(__global int *a) { a[0] = 1; }\n"}|}
+    claim;
+  Alcotest.(check string) "state journal"
+    (String.concat ""
+       (List.map
+          (fun l -> l ^ "\n")
+          [
+            {|{"k":"serve","v":1,"h":"cd53d3926eaf31d46d1e603c757ed24c"}|};
+            {|{"k":"kernel","hash":"07228b870e31309e758fc869e7126b88","seed":1,"mode":"basic","cls":"candidate","config":0,"opt":"-","text":"__kernel void entry(__global int *a) { a[0] = 1; }\n","h":"c0d54497e232446c8695ab52b5e68433"}|};
+            {|{"k":"obs","cell":{"k":"cell","i":0,"seed":1,"mode":"basic","config":2,"opt":"-","out":[{"t":"c","v":"segfault"}],"note":""},"obs":{"cls":"crash","config":2,"opt":"-","sig":"sig-atomic","seed":1,"mode":"basic","hash":"07228b870e31309e758fc869e7126b88"},"cov":[10,20],"h":"92cf1fbec8a0868e39be62b1edb5db5f"}|};
+            {|{"k":"obs","cell":{"k":"cell","i":0,"seed":1,"mode":"basic","config":2,"opt":"+","out":[{"t":"c","v":"segfault"}],"note":""},"cov":[30],"h":"c6c4fd026ea0d88fe35230dbaba3560c"}|};
+            {|{"k":"obs","cell":{"k":"cell","i":0,"seed":1,"mode":"basic","config":5,"opt":"-","out":[{"t":"c","v":"segfault"}],"note":""},"obs":{"cls":"crash","config":5,"opt":"-","sig":"sig-atomic","seed":1,"mode":"basic","hash":"07228b870e31309e758fc869e7126b88"},"cov":[],"h":"1e1e2159d9e2cf85d5ac06d7ef72c640"}|};
+            {|{"k":"claim","n":1,"h":"3d4148d7b33f337a27f865610b411bd3"}|}
+          ]))
+    journal
+
 let test_server_restart_identical () =
   let addr = temp_addr () in
   let path = Filename.temp_file "test_serve" ".journal" in
@@ -638,6 +703,8 @@ let () =
             test_server_concurrent_clients;
           Alcotest.test_case "restart answers byte-identical" `Slow
             test_server_restart_identical;
+          Alcotest.test_case "record bytes pinned" `Quick
+            test_server_record_bytes;
           Alcotest.test_case "overload sheds 429" `Slow
             test_server_overload_sheds;
           Alcotest.test_case "metrics history + per-route accounting" `Slow
