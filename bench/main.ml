@@ -324,7 +324,10 @@ let dist () =
         Domain.spawn (fun () -> Dist_worker.run ~addr ~jobs:1 ()))
   in
   let collected =
-    match Coordinator.serve ~addr ~spec ~workers ~fleet () with
+    match
+      Coordinator.serve ~addr ~spec ~workers
+        ~chunk:(Spec.lease_cells spec ~workers) ~fleet ()
+    with
     | Ok cells -> cells
     | Error e -> failwith ("coordinator: " ^ e)
   in

@@ -918,17 +918,10 @@ let coordinate_cmd =
         let header = Spec.header spec in
         let total = Spec.total_cells spec in
         let chunk =
-          match chunk with
-          | Some c -> Some (max 1 c)
-          | None ->
-              let per =
-                match campaign with
-                | "fuzz" ->
-                    spec.Spec.gen_size * Fuzz_loop.cells_per_kernel ()
-                    / max 1 workers
-                | _ -> total / max 1 (workers * 2)
-              in
-              Some (max 1 per)
+          Some
+            (match chunk with
+            | Some c -> max 1 c
+            | None -> Spec.lease_cells spec ~workers)
         in
         let mon = Coordinator.monitor () in
         let fleet = Fleet.create ~total ~now:(Mclock.now_ns ()) () in

@@ -80,6 +80,9 @@ let run_lease ~send ~jobs ~spec ~known ~record ~telemetry ~lease_id ~gen ~lo
       ~exec_filter:(fun i -> i >= lo && i < hi)
       spec
   in
+  (* the RSS after execution reaches the coordinator before the lease
+     closes, however short the session *)
+  send (beat ());
   (* the pool has joined its domains, so draining here races nothing *)
   let spans = if telemetry then Span.drain () else [] in
   let metrics = if telemetry then Metrics.counters () else [] in

@@ -45,7 +45,10 @@ val run :
 
     A heartbeat domain ships a [Beat] about once a second: liveness
     plus the two facts only the worker has, its local pool's queue
-    depth and its RSS. When the coordinator's [Welcome] armed
+    depth and its RSS. One more [Beat] leaves right after [Welcome],
+    and one after each lease's last [Cell], before its [Done], so even
+    a session shorter than a second reports the RSS measured after
+    execution. When the coordinator's [Welcome] armed
     telemetry, each lease's drained span buffer and the counter
     registry snapshot travel back on [Done]. None of this touches the
     scratch journal or the streamed cells, so the merged campaign

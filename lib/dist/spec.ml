@@ -181,6 +181,14 @@ let boundaries t =
       gens 0 0 []
   | _ -> [ (0, total_cells t) ]
 
+let lease_cells t ~workers =
+  max 1
+    (match t.campaign with
+    | "fuzz" ->
+        t.gen_size * Fuzz_loop.cells_per_kernel ?config_ids:t.config_ids ()
+        / max 1 workers
+    | _ -> total_cells t / max 1 (workers * 2))
+
 let clamp t ~gen =
   match t.campaign with
   | "fuzz" -> { t with n = min t.n ((gen + 1) * t.gen_size) }

@@ -66,6 +66,11 @@ val boundaries : t -> (int * int) list
     Generation [g] may only execute once all cells below its [lo] are
     collected; the table campaigns are one dependency-free range. *)
 
+val lease_cells : t -> workers:int -> int
+(** The lease size that keeps [workers] busy: a fuzz generation split
+    evenly over them, or a table grid cut into two leases per worker.
+    At least 1. *)
+
 val clamp : t -> gen:int -> t
 (** The spec a worker runs to execute a lease of generation [gen]:
     for ["fuzz"] the kernel budget is capped at generation [gen]'s

@@ -64,6 +64,12 @@ type tally = {
   mutable t_race_checks : int;
 }
 
+(* the schedule witness of [exec_witnessed]; see [witness_leaf] *)
+type witness = {
+  mutable live : bool;  (* watching, and nothing found yet *)
+  mutable slots : int array;  (* per shared location: stamp, writer, reader *)
+}
+
 type launch = {
   cfg : config;
   ctx : R.alloc_ctx;
@@ -71,6 +77,8 @@ type launch = {
   free : R.cell option array;  (* the compiled form's free names, resolved *)
   params : R.cell option array;  (* the kernel parameters' buffers *)
   race : Race.t;
+  wit : witness;
+  mutable watching : bool;  (* races detected or witness live: accesses are fed *)
 }
 
 type group_state = {
@@ -168,9 +176,72 @@ let record ts ~loc ~space kind ~atomic =
         ~epoch ~space
   | Ty.Private | Ty.Constant -> ()
 
+(* The schedule witness. Groups run one after another, and a schedule
+   only permutes one group's threads at each rendezvous, so a run can
+   depend on its schedule only through an atomic (see [catomic]), a
+   private address published in shared memory (see [write_lv]), or
+   through two threads of one group touching one shared location within
+   one barrier epoch of its space, one of them writing. Per shared leaf
+   location the witness keeps the stamp (group, epoch) of the accesses
+   seen so far, the thread that wrote under that stamp (-1: none) and the
+   thread that read (-1: none, -2: two or more). It stops at its first
+   finding, counts no race check and changes nothing else in the run. *)
+let refute ts =
+  ts.l.wit.live <- false;
+  ts.l.watching <- ts.l.cfg.detect_races
+
+let witness_leaf ts (c : R.cell) kind =
+  let w = ts.l.wit in
+  let i = 3 * c.R.loc in
+  if i + 2 >= Array.length w.slots then begin
+    let grown = Array.make (max 192 (2 * (i + 3))) (-1) in
+    Array.blit w.slots 0 grown 0 (Array.length w.slots);
+    w.slots <- grown
+  end;
+  let s = w.slots and t = ts.t_lin in
+  let epoch =
+    match c.R.space with Ty.Local -> ts.grp.epoch_local | _ -> ts.grp.epoch_global
+  in
+  let stamp = (ts.grp.g lsl 32) lor epoch in
+  if Array.unsafe_get s i <> stamp then begin
+    Array.unsafe_set s i stamp;
+    Array.unsafe_set s (i + 1) (-1);
+    Array.unsafe_set s (i + 2) (-1)
+  end;
+  let writer = Array.unsafe_get s (i + 1) and reader = Array.unsafe_get s (i + 2) in
+  if writer >= 0 && writer <> t then refute ts
+  else
+    match kind with
+    | Race.Write ->
+        if reader = -1 || reader = t then Array.unsafe_set s (i + 1) t else refute ts
+    | Race.Read ->
+        Array.unsafe_set s (i + 2) (if reader = -1 || reader = t then t else -2)
+
+(* a struct or array is touched through each of its leaves, as its
+   members' own accesses are *)
+let rec witness_cell ts (c : R.cell) kind =
+  match c.R.content with
+  | R.C_struct (_, cs) | R.C_array (_, cs) ->
+      Array.iter (fun m -> witness_cell ts m kind) cs
+  | _ -> witness_leaf ts c kind
+
+let lv_cell = function R.L_cell c | R.L_bytes (c, _, _) | R.L_comp (c, _) -> c
+
+(* feed one access of a local or global cell — the cells that have a
+   location — to the race detector and the witness *)
+let watch ts (c : R.cell) kind ~atomic =
+  if ts.l.cfg.detect_races then record ts ~loc:c.R.loc ~space:c.R.space kind ~atomic;
+  if ts.l.wit.live then witness_cell ts c kind
+
 let record_access ts lv kind ~atomic =
-  if ts.l.cfg.detect_races then
-    record ts ~loc:(R.base_loc lv) ~space:(R.lvalue_space lv) kind ~atomic
+  if ts.l.watching then
+    let c = lv_cell lv in
+    if c.R.loc >= 0 then watch ts c kind ~atomic
+
+(* an access the race detector does not see: a quirk's own *)
+let witness_only ts lv kind =
+  let c = lv_cell lv in
+  if ts.l.wit.live && c.R.loc >= 0 then witness_cell ts c kind
 
 let read_lv ts lv =
   record_access ts lv Race.Read ~atomic:false;
@@ -178,8 +249,7 @@ let read_lv ts lv =
 
 (* the race record of reading cell [c] *)
 let note_read ts (c : R.cell) =
-  if ts.l.cfg.detect_races then
-    record ts ~loc:c.R.loc ~space:c.R.space Race.Read ~atomic:false
+  if ts.l.watching && c.R.loc >= 0 then watch ts c Race.Read ~atomic:false
 
 (* [read_lv] of a whole cell, without building the lvalue for leaves *)
 let read_cell ts (c : R.cell) =
@@ -190,8 +260,25 @@ let read_cell ts (c : R.cell) =
   | R.C_ptr p -> R.V_ptr p
   | R.C_struct _ | R.C_union _ | R.C_array _ -> R.read ts.l.ctx (R.L_cell c)
 
+(* does value [v] hold a pointer to a cell without a location? Stored in
+   shared memory, it would let other threads reach the storer's private
+   cells, whose accesses nothing watches *)
+let rec leaks_private (v : R.value) =
+  match v with
+  | R.V_ptr (Some p) -> p.R.target.R.loc < 0
+  | R.V_agg c -> holds_private c
+  | R.V_ptr None | R.V_scalar _ | R.V_vector _ -> false
+
+and holds_private (c : R.cell) =
+  match c.R.content with
+  | R.C_ptr (Some p) -> p.R.target.R.loc < 0
+  | R.C_struct (_, cs) | R.C_array (_, cs) -> Array.exists holds_private cs
+  | R.C_ptr None | R.C_scalar _ | R.C_vector _ | R.C_union _ -> false
+
 let write_lv ts lv v =
   record_access ts lv Race.Write ~atomic:false;
+  if ts.l.watching && ts.l.wit.live && (lv_cell lv).R.loc >= 0 && leaks_private v
+  then refute ts;
   let skip_arrays =
     ts.l.cfg.profile.Profile.struct_copy_drop_arrays
     && match v with R.V_agg _ -> true | _ -> false
@@ -1008,6 +1095,8 @@ and catomic cx sc aop p args : cexpr =
     let cell = ptr.R.target in
     let lv = R.L_cell cell in
     ts.tally.t_atomics <- ts.tally.t_atomics + 1;
+    (* an atomic's result is its place in the schedule *)
+    if ts.l.wit.live then refute ts;
     record_access ts lv Race.Write ~atomic:true;
     let old = as_scalar "atomic" (R.read ts.l.ctx lv) in
     let ty = old.Scalar.ty in
@@ -1297,6 +1386,7 @@ and cfor cx sc (f : for_loop) : cstmt =
       | Some (id, s, Some (il, lhs)) when lose_init ->
           tick ts il;
           let lv = lhs ts in
+          witness_only ts lv Race.Read;
           let old = R.read ts.l.ctx lv in
           ignore (run_stmt ts id s : flow);
           Some (lv, old)
@@ -1329,7 +1419,11 @@ and cfor cx sc (f : for_loop) : cstmt =
     in
     let fl = loop () in
     ts.loop_iters <- List.tl ts.loop_iters;
-    (match restore with Some (lv, old) -> R.write ts.l.ctx lv old | None -> ());
+    (match restore with
+    | Some (lv, old) ->
+        witness_only ts lv Race.Write;
+        R.write ts.l.ctx lv old
+    | None -> ());
     fl
 
 
@@ -1598,7 +1692,7 @@ let output_of_buffers bufs =
               (Array.to_list (Array.map Scalar.to_string vals))))
        bufs)
 
-let exec ?(config = default_config) ?(profile = false) (code : compiled)
+let exec_with wit ?(config = default_config) ?(profile = false) (code : compiled)
     (tc : testcase) : run_result =
   let prog = code.source in
   let race = Race.create () in
@@ -1644,6 +1738,8 @@ let exec ?(config = default_config) ?(profile = false) (code : compiled)
           Array.of_list
             (List.map (fun (pname, _) -> List.assoc_opt pname named) prog.kernel.params);
         race;
+        wit;
+        watching = config.detect_races || wit.live;
       }
     in
     List.iter
@@ -1668,6 +1764,14 @@ let exec ?(config = default_config) ?(profile = false) (code : compiled)
   | exception Fuel_exhausted -> result Outcome.Timeout
   | exception Divergence m -> result (Outcome.Ub m)
   | exception Invalid_argument m -> result (Outcome.Crash ("runtime error: " ^ m))
+
+let exec ?config ?profile code tc =
+  exec_with { live = false; slots = [||] } ?config ?profile code tc
+
+let exec_witnessed ?config ?profile code tc =
+  let wit = { live = true; slots = [||] } in
+  let r = exec_with wit ?config ?profile code tc in
+  (r, wit.live && Outcome.is_computed r.outcome)
 
 let run ?config (tc : testcase) = exec ?config (compile tc.prog) tc
 let run_outcome ?config tc = (run ?config tc).outcome

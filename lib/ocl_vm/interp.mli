@@ -81,6 +81,23 @@ val exec :
     counts the cost profile into [ticks]: one array bump per node visit,
     on the slot compiled into the node. *)
 
+val exec_witnessed :
+  ?config:config -> ?profile:bool -> compiled -> Ast.testcase -> run_result * bool
+(** {!exec} watched by the schedule witness: the run, its stats (race
+    checks included) and its ticks are exactly {!exec}'s, and the flag
+    says whether the run certifies that no {!Sched.t} could change any of
+    them. It certifies when the run ended in [Success], executed no
+    atomic, stored no pointer to private memory in local or global
+    memory (where another thread could reach that private memory
+    unwatched), and no two threads of one work-group touched one local
+    or global location within one barrier epoch of its space, either
+    access a write. A struct or array access touches each of its leaves.
+    Groups run in a fixed order and a schedule only permutes one group's
+    threads at each rendezvous, so under those conditions every thread
+    reads the same values whatever the order, and the run's outcome,
+    stats and ticks are the same under every schedule. A run that
+    certifies under one schedule does so under all of them. *)
+
 val constructs : compiled -> int array -> Costprof.construct list
 (** The non-zero ticks of a run of this program as cost-profile
     constructs, sorted by (loc, kind). The slot names are built once

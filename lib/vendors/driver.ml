@@ -50,17 +50,22 @@ let std_pipeline ~rotate_zero_bug =
 
 (* Pass-pipeline results depend only on (optimising?, rotate bug?), so a
    prepared test case caches the four possibilities on first use, each
-   beside its compiled form and its run memo: a run of the unmutated
+   beside its compiled form and its run memo. A run of the unmutated
    program is a function of the interpreter config and whether ticks are
    counted, so cells that agree on both (the prefilter and the 1+ cell,
-   a non-optimising config's two opt levels) run once. The caches are
-   Memo cells, not Lazy, because a prepared kernel is shared by every
-   (config, opt-level) cell of a campaign and those cells run
-   concurrently on pool domains. *)
+   a non-optimising config's two opt levels) run once. Cells that agree
+   on both up to the schedule form a group: the group's first run is
+   witnessed ([Interp.exec_witnessed]) and, when it certifies that no
+   schedule could change it, serves every cell of the group; otherwise
+   each config of the group runs its own. Race-detecting configs are
+   never grouped. The caches are Memo cells, not Lazy, because a
+   prepared kernel is shared by every (config, opt-level) cell of a
+   campaign and those cells run concurrently on pool domains. *)
 type variant = {
   prog : Ast.program Memo.t;
   code : Interp.compiled Memo.t;
-  runs : ((Interp.config * bool) * Interp.run_result Memo.t) list Atomic.t;
+  runs : ((Interp.config * bool) * (Interp.run_result * bool) Memo.t) list Atomic.t;
+      (* by config and profiling flag: the run, and whether it certified *)
 }
 
 let variant prog =
@@ -70,16 +75,38 @@ let variant prog =
     runs = Atomic.make [];
   }
 
-(* the variant's run under [config], computed by the first cell to ask *)
-let rec memo_run v ~config ~profile run =
-  let key = (config, profile) in
+(* the variant's run under [config]: the run of this very config, else
+   its group's certified run, else a new run — witnessed when it is the
+   group's first. Whichever cell asks first makes the run. *)
+let rec memo_run v ~config ~profile launch =
   let runs = Atomic.get v.runs in
-  match List.assoc_opt key runs with
-  | Some m -> Memo.force m
-  | None ->
-      let m = Memo.make run in
-      if Atomic.compare_and_set v.runs runs ((key, m) :: runs) then Memo.force m
-      else memo_run v ~config ~profile run
+  match List.assoc_opt (config, profile) runs with
+  | Some m -> fst (Memo.force m)
+  | None -> (
+      (* a race-detecting config is a group of its own *)
+      let grouped = not config.Interp.detect_races in
+      let peer =
+        if not grouped then None
+        else
+          List.find_opt
+            (fun ((c, p), _) ->
+              p = profile
+              && { c with Interp.schedule = config.Interp.schedule } = config)
+            runs
+      in
+      match Option.map (fun (_, m) -> Memo.force m) peer with
+      | Some (r, true) -> r
+      | peer_run ->
+          let code = Memo.force v.code in
+          let run () =
+            if grouped && Option.is_none peer_run then
+              Interp.exec_witnessed ~config ~profile code launch
+            else (Interp.exec ~config ~profile code launch, false)
+          in
+          let m = Memo.make run in
+          if Atomic.compare_and_set v.runs runs (((config, profile), m) :: runs) then
+            fst (Memo.force m)
+          else memo_run v ~config ~profile launch)
 
 type prepared = {
   tc : Ast.testcase;
@@ -232,10 +259,7 @@ let plan ?noise ?fuel (c : Config.t) ~opt (p : prepared) =
           let launch = { p.tc with Ast.prog } in
           let run ~profile =
             if prog == source then
-              let code = Memo.force v.code in
-              ( code,
-                memo_run v ~config ~profile (fun () ->
-                    Interp.exec ~config ~profile code launch) )
+              (Memo.force v.code, memo_run v ~config ~profile launch)
             else
               let code = Interp.compile prog in
               (code, Interp.exec ~config ~profile code launch)

@@ -24,12 +24,23 @@ type prepared
     Each post-pass program also memoizes its runs, keyed by the full
     {!Interp.config} and whether the cost profile is counted: cells that
     agree on both — a campaign's prefilter and its 1+ cell, the two opt
-    levels of a configuration that does not optimise — execute once, and
-    every such cell still gets its own exec span, stats and cost cell. A
-    cell whose program a wrong-code fault mutates compiles and runs its
-    own, unmemoized. The caches are domain-safe ({!Memo}), so one
-    prepared kernel may be run concurrently from every domain of an
-    execution pool; they live as long as the prepared kernel. *)
+    levels of a configuration that does not optimise — execute once.
+    Cells that agree on both up to the schedule form a group, whose
+    first run is witnessed ({!Interp.exec_witnessed}); when that run
+    certifies that no schedule could change it (it succeeded, executed
+    no atomic, put no private address in shared memory, and no two
+    threads of one work-group touched one shared location within one
+    barrier epoch, either access a write), it
+    serves every cell of the group. Otherwise it serves only its own
+    config, and each other config of the group runs its own. Whichever
+    cell of a group runs first decides, and the outcome is the same at
+    every [-j], since a run certifies under one schedule exactly when it
+    does under all. Race-detecting configs are never grouped. Every cell
+    still gets its own exec span, stats and cost cell. A cell whose
+    program a wrong-code fault mutates compiles and runs its own,
+    unmemoized. The caches are domain-safe ({!Memo}), so one prepared
+    kernel may be run concurrently from every domain of an execution
+    pool; they live as long as the prepared kernel. *)
 
 val prepare : Ast.testcase -> prepared
 val testcase_of : prepared -> Ast.testcase

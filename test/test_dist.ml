@@ -679,6 +679,53 @@ let half_shard_client truth addr =
   (* die mid-lease: no Done, just a dropped connection *)
   Unix.close fd
 
+(* a hand-rolled coordinator leases a real worker five cells: after the
+   lease's last Cell and before its Done comes a Beat, so the final
+   status holds the RSS measured after execution *)
+let test_beat_before_done () =
+  let spec = small_spec "table4" in
+  with_sock @@ fun addr ->
+  let lfd =
+    match Netaddr.listen addr with Ok fd -> fd | Error e -> Alcotest.fail e
+  in
+  let d = Domain.spawn (fun () -> worker addr) in
+  let fd, _ = Unix.accept lfd in
+  let dec = Wire.decoder () and buf = Bytes.create 65536 in
+  let send msg = Netaddr.write_all fd (Wire.frame (Proto.encode msg)) in
+  let rec recv () =
+    match Wire.next dec with
+    | `Frame p -> (
+        match Proto.decode p with Ok m -> m | Error e -> Alcotest.fail e)
+    | `Corrupt e -> Alcotest.fail e
+    | `Awaiting ->
+        let n = Unix.read fd buf 0 (Bytes.length buf) in
+        if n = 0 then Alcotest.fail "worker closed";
+        Wire.feed dec buf n;
+        recv ()
+  in
+  (match recv () with
+  | Proto.Hello _ -> ()
+  | _ -> Alcotest.fail "expected hello");
+  send (Proto.Welcome { worker_id = 0; spec; telemetry = false });
+  send (Proto.Lease { lease_id = 0; gen = 0; lo = 0; hi = 5 });
+  (* what arrived, oldest first, up to the Done *)
+  let rec until_done acc =
+    match recv () with
+    | Proto.Done _ -> List.rev acc
+    | m -> until_done (m :: acc)
+  in
+  let msgs = until_done [] in
+  send Proto.Shutdown;
+  Domain.join d;
+  Unix.close fd;
+  Unix.close lfd;
+  let cells = List.filter (function Proto.Cell _ -> true | _ -> false) msgs in
+  Alcotest.(check int) "the lease's cells streamed" 5 (List.length cells);
+  match List.rev msgs with
+  | Proto.Beat { rss_kb; _ } :: Proto.Cell _ :: _ ->
+      Alcotest.(check bool) "the closing beat carries the RSS" true (rss_kb > 0)
+  | _ -> Alcotest.fail "no Beat between the last Cell and Done"
+
 (* the fleet aggregator riding a real fabric run: per-worker cell
    attribution must cover the grid, and the status line must survive a
    decode/re-encode roundtrip *)
@@ -972,6 +1019,8 @@ let () =
             test_fabric_torn_worker;
           Alcotest.test_case "fleet aggregation over a live run" `Slow
             test_fabric_fleet;
+          Alcotest.test_case "a beat closes each lease" `Slow
+            test_beat_before_done;
           Alcotest.test_case "watchdog probe hand-off" `Slow
             test_fabric_watchdog_probe;
           Alcotest.test_case "v1 peer refused, grid completed" `Slow

@@ -490,6 +490,55 @@ let test_run_memo () =
         passes)
     Gen_config.all_modes
 
+(* The same on kernels whose result depends on the schedule: a cell whose
+   group's run does not certify runs its own config. Each kernel has two
+   cells that the memo groups (one program, one config up to its
+   schedule) with different results under a fresh prepare, so a group
+   served by a run it should not have been would show. *)
+let test_run_memo_schedules () =
+  let grid = List.concat_map (fun c -> [ (c, false); (c, true) ]) Config.all in
+  Fun.protect ~finally:Costprof.disable @@ fun () ->
+  List.iter
+    (fun (label, tc) ->
+      let fuel = Sched_kernels.fuel in
+      let cell (c, opt) p = result_str (Driver.run_prepared_stats ~fuel c ~opt p) in
+      let planned = Driver.prepare tc in
+      let group (c, opt) =
+        Option.map
+          (fun (prog, config) ->
+            (prog, { config with Interp.schedule = Sched.default }))
+          (Driver.cell_program ~fuel c ~opt planned)
+      in
+      let fresh = List.map (fun co -> (group co, cell co (Driver.prepare tc))) grid in
+      let split =
+        List.exists
+          (fun (ga, ra) ->
+            List.exists
+              (fun (gb, rb) ->
+                match (ga, gb) with
+                | Some (pa, ca), Some (pb, cb) ->
+                    Stdlib.(pa == pb && ca = cb && ra <> rb)
+                | _ -> false)
+              fresh)
+          fresh
+      in
+      Alcotest.(check bool) (label ^ ": a group's cells differ") true split;
+      List.iter
+        (fun (profiling, order) ->
+          if profiling then Costprof.enable () else Costprof.disable ();
+          let shared = Driver.prepare tc in
+          List.iter
+            (fun ((c : Config.t), opt) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s on %d%c%s" label c.Config.id
+                   (if opt then '+' else '-')
+                   (if profiling then ", profiled" else ""))
+                (cell (c, opt) (Driver.prepare tc))
+                (cell (c, opt) shared))
+            order)
+        [ (false, grid); (true, List.rev grid) ])
+    Sched_kernels.all
+
 let prop_generated =
   QCheck.Test.make ~count:30 ~name:"engine = walker on a random cell"
     QCheck.(quad (int_bound 10_000) (int_bound 5) (int_bound 20) bool)
@@ -521,6 +570,8 @@ let () =
           Alcotest.test_case "6 modes x 21 configs x 2 opt levels" `Quick
             test_generated;
           Alcotest.test_case "run memo = fresh prepare per cell" `Quick test_run_memo;
+          Alcotest.test_case "run memo on schedule-dependent kernels" `Quick
+            test_run_memo_schedules;
           QCheck_alcotest.to_alcotest prop_generated;
         ] );
     ]

@@ -141,6 +141,52 @@ let test_benchmark_races () =
         b.Suite.racy found)
     Suite.all
 
+(* --- the schedule witness --- *)
+
+(* a kernel's run under [schedule]: plain, then witnessed *)
+let witnessed ?(fuel = Interp.default_config.Interp.fuel) label tc schedule =
+  let config = { Interp.default_config with Interp.schedule; fuel } in
+  let code = Interp.compile tc.Ast.prog in
+  let plain = Interp.exec ~config ~profile:true code tc in
+  let r, certified = Interp.exec_witnessed ~config ~profile:true code tc in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s under %s: witnessed run = plain run" label
+       (Sched.to_string schedule))
+    true (r = plain);
+  (Outcome.to_string plain.Interp.outcome, certified)
+
+(* each kernel's plain result differs between two configurations'
+   schedules, so a certificate would be wrong: the witness gives none *)
+let test_witness_refuses () =
+  List.iter
+    (fun (label, tc) ->
+      let runs =
+        List.map
+          (witnessed ~fuel:Sched_kernels.fuel label tc)
+          Sched_kernels.schedules
+      in
+      Alcotest.(check bool) (label ^ ": result depends on the schedule") true
+        Stdlib.(List.length (List.sort_uniq compare (List.map fst runs)) >= 2);
+      Alcotest.(check bool) (label ^ ": certifies under no schedule") false
+        (List.exists snd runs))
+    Sched_kernels.all
+
+(* race-free generated kernels certify under every schedule, with one
+   result *)
+let test_witness_certifies () =
+  List.iter
+    (fun mode ->
+      for seed = 900 to 902 do
+        let tc, _ = Generate.generate ~cfg:(Gen_config.scaled mode) ~seed () in
+        let label = Printf.sprintf "%s seed %d" (Gen_config.mode_name mode) seed in
+        let runs = List.map (witnessed label tc) Sched_kernels.schedules in
+        Alcotest.(check bool) (label ^ ": certifies under every schedule") true
+          (List.for_all snd runs);
+        Alcotest.(check int) (label ^ ": one result") 1
+          (List.length (List.sort_uniq compare (List.map fst runs)))
+      done)
+    [ Gen_config.Basic; Gen_config.Vector; Gen_config.Barrier ]
+
 let () =
   Alcotest.run "race"
     [
@@ -162,5 +208,12 @@ let () =
           Alcotest.test_case "spmv/myocyte rediscovered" `Quick test_benchmark_races;
           Alcotest.test_case "detection -j independent under pool" `Slow
             test_detection_pool_j_independent;
+        ] );
+      ( "witness",
+        [
+          Alcotest.test_case "schedule-dependent never certify" `Quick
+            test_witness_refuses;
+          Alcotest.test_case "race-free generated certify" `Quick
+            test_witness_certifies;
         ] );
     ]
